@@ -1,6 +1,7 @@
 #include "serve/engine.hpp"
 
 #include <algorithm>
+#include <deque>
 #include <sstream>
 #include <utility>
 
@@ -25,6 +26,30 @@ std::uint64_t mix_seed(std::uint64_t a, std::uint64_t b) {
   x *= 0x94d049bb133111ebull;
   x ^= x >> 31;
   return x;
+}
+
+/// A failed attempt's class: Cancelled expires the group, Retryable
+/// (persistent data damage) backs off and re-executes, a CheckFailure (a
+/// bug) or anything unexpected fails the request.
+enum class AttemptError {
+  None,
+  Cancelled,
+  Retryable,
+  NonRetryable,
+  Unexpected,
+};
+
+AttemptError classify(const std::exception& e) {
+  if (dynamic_cast<const util::Cancelled*>(&e) != nullptr) {
+    return AttemptError::Cancelled;
+  }
+  if (dynamic_cast<const compress::DecodeError*>(&e) != nullptr) {
+    return AttemptError::Retryable;
+  }
+  if (dynamic_cast<const CheckFailure*>(&e) != nullptr) {
+    return AttemptError::NonRetryable;
+  }
+  return AttemptError::Unexpected;
 }
 
 }  // namespace
@@ -328,290 +353,231 @@ void ServeEngine::worker_loop() {
         inflight_.insert(item.ticket.get());
       }
     }
-    if (batch.size() == 1) {
-      process(std::move(batch.front()));
-    } else {
-      process_batch(std::move(batch));
-    }
+    process(std::move(batch));
   }
 }
 
-void ServeEngine::process(QueuedRequest item) {
+void ServeEngine::process(std::vector<QueuedRequest> items) {
   MOCHA_TRACE_SCOPE("serve.request", "serve");
-  Ticket& ticket = *item.ticket;
-  util::CancelToken& token = ticket.token();
-
-  Response resp;
-  resp.queue_ns = util::steady_now_ns() - item.admitted_ns;
-  MOCHA_METRIC_HIST(lanes_.queue_wait_us,
-                    static_cast<std::int64_t>(resp.queue_ns / 1000));
-
-  auto expire = [&](std::string where) {
-    resp.outcome = token.cancel_requested() ? Outcome::Cancelled
-                                            : Outcome::DeadlineExceeded;
-    resp.message = std::move(where);
-    finish(item, std::move(resp));
+  struct Entry {
+    QueuedRequest item;
+    Response resp;
+  };
+  using Group = std::vector<Entry>;
+  const auto expire = [&](Entry& e, std::string where) {
+    e.resp.outcome = e.item.ticket->token().cancel_requested()
+                         ? Outcome::Cancelled
+                         : Outcome::DeadlineExceeded;
+    e.resp.message = std::move(where);
+    finish(e.item, std::move(e.resp));
+  };
+  const auto fail = [&](Entry& e, Outcome outcome, std::string message) {
+    e.resp.outcome = outcome;
+    e.resp.message = std::move(message);
+    finish(e.item, std::move(e.resp));
   };
 
-  if (token.cancelled()) {
-    expire("expired while queued");
-    return;
+  // Dequeue bookkeeping, once per item. pop_batch coalesces one model, so
+  // every live item shares `model`.
+  const std::uint64_t dequeued = util::steady_now_ns();
+  Model* model = nullptr;
+  Group live;
+  live.reserve(items.size());
+  for (QueuedRequest& item : items) {
+    Entry e{std::move(item), Response{}};
+    e.resp.queue_ns = dequeued - e.item.admitted_ns;
+    MOCHA_METRIC_HIST(lanes_.queue_wait_us,
+                      static_cast<std::int64_t>(e.resp.queue_ns / 1000));
+    if (e.item.ticket->token().cancelled()) {
+      expire(e, "expired while queued");
+      continue;
+    }
+    model = find_model(e.item.request.model);
+    if (model == nullptr) {  // unregistered between submit and dequeue
+      fail(e, Outcome::Rejected, "unknown model: " + e.item.request.model);
+      continue;
+    }
+    live.push_back(std::move(e));
   }
 
-  Model* model = find_model(item.request.model);
-  if (model == nullptr) {  // unregistered between submit and dequeue
-    resp.outcome = Outcome::Rejected;
-    resp.message = "unknown model: " + item.request.model;
-    finish(item, std::move(resp));
-    return;
-  }
+  std::deque<Group> groups;
+  const auto split = [&](Group& group) {
+    for (Entry& e : group) {
+      groups.emplace_back();
+      groups.back().push_back(std::move(e));
+    }
+  };
+  if (!live.empty()) groups.push_back(std::move(live));
 
-  util::Rng jitter(mix_seed(options_.retry.jitter_seed, item.id));
+  while (!groups.empty()) {
+    Group group = std::move(groups.front());
+    groups.pop_front();
+    // Only singletons retry, so the backoff jitter follows the front id.
+    util::Rng jitter(
+        mix_seed(options_.retry.jitter_seed, group.front().item.id));
 
-  for (;;) {
-    ++resp.attempts;
-    const std::uint64_t attempt_start = util::steady_now_ns();
-    const bool primary = model->breaker->allow_primary(attempt_start);
-
-    try {
-      std::shared_ptr<const dataflow::NetworkPlan> plan =
-          plan_for(*model, primary);
-
-      dataflow::FunctionalOptions exec;
-      exec.quant = options_.quant;
-      exec.cancel = &token;
-      exec.codec_retry_budget = options_.codec_retry_budget;
+    for (int attempt = 1;; ++attempt) {
+      double flip_rate = 0;
       std::int64_t stall_ms = 0;
       {
         std::lock_guard<std::mutex> lock(fault_mu_);
-        exec.codec_flip_rate = have_faults_ ? faults_.codec_bit_flip_rate : 0;
+        flip_rate = have_faults_ ? faults_.codec_bit_flip_rate : 0;
         stall_ms = have_faults_ ? faults_.exec_stall_ms : 0;
       }
-      exec.codec_fault_seed =
-          mix_seed(item.id, static_cast<std::uint64_t>(resp.attempts));
-      // Serving computes outputs; it does not need coded-size measurement.
-      // Codecs are exercised only when flips are being injected (the framed
-      // integrity path is what detects them).
-      exec.exercise_codecs = exec.codec_flip_rate > 0;
-      exec.verify_codecs = false;
+      // Split rule: one executor pass serves every item identically only
+      // without transient faults — injected flips need per-attempt seeds
+      // wired into per-request retry, and injected stalls are per-ticket.
+      if (group.size() > 1 && (flip_rate > 0 || stall_ms > 0)) {
+        split(group);
+        break;
+      }
 
-      if (stall_ms > 0) {
-        // Injected latency degradation (fault::FaultModel::exec_stall_ms):
-        // the attempt slows down but stays deadline-aware — the stall is
-        // interruptible, and a fired token takes the same Cancelled path as
-        // any mid-execution expiry.
-        MOCHA_METRIC_ADD(lanes_.exec_stalls, 1);
-        if (ticket.sleep_until(attempt_start +
-                               static_cast<std::uint64_t>(stall_ms) *
-                                   1'000'000ull)) {
-          throw util::Cancelled("injected execution stall interrupted");
+      const std::uint64_t start = util::steady_now_ns();
+      const bool primary = model->breaker->allow_primary(start);
+      std::vector<dataflow::BatchOutput> outs;
+      AttemptError error = AttemptError::None;
+      std::string what;
+      try {
+        std::shared_ptr<const dataflow::NetworkPlan> plan =
+            plan_for(*model, primary);
+
+        dataflow::FunctionalOptions exec;
+        exec.quant = options_.quant;
+        exec.codec_retry_budget = options_.codec_retry_budget;
+        exec.codec_flip_rate = flip_rate;
+        // Serving computes outputs; it does not need coded-size measurement.
+        // Codecs are exercised only when flips are being injected (the
+        // framed integrity path is what detects them).
+        exec.exercise_codecs = flip_rate > 0;
+        exec.verify_codecs = false;
+
+        if (stall_ms > 0) {
+          // Injected latency degradation (fault::FaultModel::exec_stall_ms):
+          // the attempt slows down but stays deadline-aware — the stall is
+          // interruptible, and a fired token takes the same Cancelled path
+          // as any mid-execution expiry. The split rule makes this a
+          // singleton.
+          MOCHA_METRIC_ADD(lanes_.exec_stalls, 1);
+          const std::uint64_t stall_ns =
+              static_cast<std::uint64_t>(stall_ms) * 1'000'000ull;
+          if (group.front().item.ticket->sleep_until(start + stall_ns)) {
+            throw util::Cancelled("injected execution stall interrupted");
+          }
         }
-      }
 
-      dataflow::FunctionalResult result;
-      {
+        std::vector<dataflow::BatchInput> inputs(group.size());
+        for (std::size_t i = 0; i < group.size(); ++i) {
+          inputs[i].input = &group[i].item.request.input;
+          inputs[i].cancel = &group[i].item.ticket->token();
+          inputs[i].codec_fault_seed =
+              mix_seed(group[i].item.id, static_cast<std::uint64_t>(attempt));
+        }
         MOCHA_TRACE_SCOPE("serve.execute", "serve");
-        result = dataflow::run_functional(model->net, *plan,
-                                          item.request.input, model->weights,
-                                          exec);
+        outs = dataflow::run_functional_batch(model->net, *plan, inputs,
+                                              model->weights, exec);
+      } catch (const std::exception& e) {
+        error = classify(e);
+        what = e.what();
+      }
+      const std::uint64_t end = util::steady_now_ns();
+      for (Entry& e : group) e.resp.attempts = attempt;
+
+      // Breaker, once per attempt. A run that completed nothing (every
+      // token fired) is no evidence either way. A failure counts even when
+      // it is a bug: the fallback plan is the right answer to a plan that
+      // cannot execute.
+      if (primary) {
+        const bool completed =
+            error == AttemptError::None &&
+            std::any_of(outs.begin(), outs.end(),
+                        [](const dataflow::BatchOutput& o) {
+                          return !o.cancelled;
+                        });
+        if (completed) {
+          model->breaker->record_primary_success(end, end - start);
+        } else if (error == AttemptError::None ||
+                   error == AttemptError::Cancelled) {
+          model->breaker->abandon_primary();
+        } else {
+          model->breaker->record_primary_failure(end);
+        }
+        publish_breaker_gauge(*model);
       }
 
-      const std::uint64_t attempt_end = util::steady_now_ns();
-      if (primary) {
-        model->breaker->record_primary_success(attempt_end,
-                                               attempt_end - attempt_start);
-        publish_breaker_gauge(*model);
+      const char* cancelled_where =
+          attempt > 1 ? "cancelled during retry" : "cancelled mid-execution";
+      if (error == AttemptError::None) {
+        if (group.size() > 1) {
+          batches_.fetch_add(1, std::memory_order_relaxed);
+          batch_coalesced_.fetch_add(static_cast<std::int64_t>(group.size()),
+                                     std::memory_order_relaxed);
+          MOCHA_METRIC_ADD(lanes_.batches, 1);
+          MOCHA_METRIC_ADD(lanes_.batch_coalesced,
+                           static_cast<std::int64_t>(group.size()));
+        }
+        for (std::size_t i = 0; i < group.size(); ++i) {
+          Entry& e = group[i];
+          if (outs[i].cancelled) {
+            expire(e, cancelled_where);
+            continue;
+          }
+          e.resp.outcome = Outcome::Completed;
+          e.resp.output = std::move(outs[i].result.outputs.back());
+          e.resp.codec_retries += outs[i].result.codec_retries;
+          e.resp.fallback_plan = !primary;
+          if (!primary) {
+            fallback_completions_.fetch_add(1, std::memory_order_relaxed);
+            MOCHA_METRIC_ADD(lanes_.fallback_completions, 1);
+          }
+          MOCHA_METRIC_HIST(lanes_.exec_latency_us,
+                            static_cast<std::int64_t>((end - start) / 1000));
+          finish(e.item, std::move(e.resp));
+        }
+        break;
       }
-      resp.outcome = Outcome::Completed;
-      resp.output = std::move(result.outputs.back());
-      resp.codec_retries += result.codec_retries;
-      resp.fallback_plan = !primary;
-      if (!primary) {
-        fallback_completions_.fetch_add(1, std::memory_order_relaxed);
-        MOCHA_METRIC_ADD(lanes_.fallback_completions, 1);
+      if (error == AttemptError::Cancelled) {
+        for (Entry& e : group) expire(e, cancelled_where);
+        break;
       }
-      MOCHA_METRIC_HIST(
-          lanes_.exec_latency_us,
-          static_cast<std::int64_t>((attempt_end - attempt_start) / 1000));
-      finish(item, std::move(resp));
-      return;
-    } catch (const util::Cancelled&) {
-      if (primary) {
-        model->breaker->abandon_primary();
-        publish_breaker_gauge(*model);
+      if (group.size() > 1) {
+        // Failed at batch granularity with nothing finished yet: each item
+        // re-runs as a singleton and books its own breaker/retry outcome.
+        split(group);
+        break;
       }
-      expire(resp.attempts > 1 ? "cancelled during retry"
-                               : "cancelled mid-execution");
-      return;
-    } catch (const compress::DecodeError& e) {
+
+      Entry& e = group.front();
+      if (error != AttemptError::Retryable) {
+        fail(e, Outcome::Failed,
+             (error == AttemptError::NonRetryable ? "non-retryable: "
+                                                  : "unexpected: ") +
+                 what);
+        break;
+      }
       // Retryable: persistent data damage past the executor's own re-fetch
-      // budget. Report to the breaker, then back off and re-execute with a
-      // fresh fault seed — unless attempts or the deadline run out.
-      if (primary) {
-        model->breaker->record_primary_failure(util::steady_now_ns());
-        publish_breaker_gauge(*model);
-      }
+      // budget. Back off and re-execute with a fresh fault seed — unless
+      // attempts or the deadline run out.
       MOCHA_METRIC_ADD(lanes_.retryable_failures, 1);
-      if (resp.attempts >= options_.retry.max_attempts) {
-        resp.outcome = Outcome::Failed;
-        resp.message = std::string("retry budget exhausted: ") + e.what();
-        finish(item, std::move(resp));
-        return;
+      if (attempt >= options_.retry.max_attempts) {
+        fail(e, Outcome::Failed, "retry budget exhausted: " + what);
+        break;
       }
       const std::uint64_t wait =
-          retry_backoff_ns(options_.retry, resp.attempts, jitter);
+          retry_backoff_ns(options_.retry, attempt, jitter);
       const std::uint64_t now = util::steady_now_ns();
-      const std::uint64_t deadline = token.deadline_ns();
+      const std::uint64_t deadline = e.item.ticket->token().deadline_ns();
       if (deadline != 0 && now + wait >= deadline) {
-        resp.outcome = Outcome::DeadlineExceeded;
-        resp.message = "no deadline budget left for retry backoff";
-        finish(item, std::move(resp));
-        return;
+        fail(e, Outcome::DeadlineExceeded,
+             "no deadline budget left for retry backoff");
+        break;
       }
       retries_.fetch_add(1, std::memory_order_relaxed);
       MOCHA_METRIC_ADD(lanes_.retries, 1);
-      if (ticket.sleep_until(now + wait)) {
-        expire("cancelled during retry backoff");
-        return;
+      if (e.item.ticket->sleep_until(now + wait)) {
+        expire(e, "cancelled during retry backoff");
+        break;
       }
-      continue;
-    } catch (const util::CheckFailure& e) {
-      // Non-retryable: a bug (or an infeasible plan). The breaker still
-      // counts it — flipping to the minimal fallback plan is exactly the
-      // right response to a plan that cannot execute.
-      if (primary) {
-        model->breaker->record_primary_failure(util::steady_now_ns());
-        publish_breaker_gauge(*model);
-      }
-      resp.outcome = Outcome::Failed;
-      resp.message = std::string("non-retryable: ") + e.what();
-      finish(item, std::move(resp));
-      return;
-    } catch (const std::exception& e) {
-      if (primary) {
-        model->breaker->record_primary_failure(util::steady_now_ns());
-        publish_breaker_gauge(*model);
-      }
-      resp.outcome = Outcome::Failed;
-      resp.message = std::string("unexpected: ") + e.what();
-      finish(item, std::move(resp));
-      return;
     }
-  }
-}
-
-void ServeEngine::process_batch(std::vector<QueuedRequest> items) {
-  // Batch semantics are only sound when one executor pass serves every
-  // request identically: transient-fault injection needs per-attempt seeds
-  // wired into per-request retry, and injected stalls are per-ticket. In
-  // those regimes (and for a model unregistered since submit) the batch
-  // degrades to the per-request path.
-  double flip_rate = 0;
-  std::int64_t stall_ms = 0;
-  {
-    std::lock_guard<std::mutex> lock(fault_mu_);
-    flip_rate = have_faults_ ? faults_.codec_bit_flip_rate : 0;
-    stall_ms = have_faults_ ? faults_.exec_stall_ms : 0;
-  }
-  Model* model = find_model(items.front().request.model);
-  if (flip_rate > 0 || stall_ms > 0 || model == nullptr) {
-    for (QueuedRequest& item : items) process(std::move(item));
-    return;
-  }
-
-  MOCHA_TRACE_SCOPE("serve.batch", "serve");
-  const std::uint64_t dequeued = util::steady_now_ns();
-  std::vector<QueuedRequest> live;
-  std::vector<Response> resps;
-  live.reserve(items.size());
-  resps.reserve(items.size());
-  for (QueuedRequest& item : items) {
-    Response resp;
-    resp.queue_ns = dequeued - item.admitted_ns;
-    MOCHA_METRIC_HIST(lanes_.queue_wait_us,
-                      static_cast<std::int64_t>(resp.queue_ns / 1000));
-    util::CancelToken& token = item.ticket->token();
-    if (token.cancelled()) {
-      resp.outcome = token.cancel_requested() ? Outcome::Cancelled
-                                              : Outcome::DeadlineExceeded;
-      resp.message = "expired while queued";
-      finish(item, std::move(resp));
-    } else {
-      live.push_back(std::move(item));
-      resps.push_back(std::move(resp));
-    }
-  }
-  if (live.empty()) return;
-
-  const std::uint64_t start = util::steady_now_ns();
-  const bool primary = model->breaker->allow_primary(start);
-  try {
-    std::shared_ptr<const dataflow::NetworkPlan> plan =
-        plan_for(*model, primary);
-
-    dataflow::FunctionalOptions exec;
-    exec.quant = options_.quant;
-    exec.codec_retry_budget = options_.codec_retry_budget;
-    // No flips in this regime (checked above) -> no measurement needed.
-    exec.exercise_codecs = false;
-    exec.verify_codecs = false;
-
-    std::vector<dataflow::BatchInput> inputs(live.size());
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      inputs[i].input = &live[i].request.input;
-      inputs[i].cancel = &live[i].ticket->token();
-      inputs[i].codec_fault_seed = mix_seed(live[i].id, 1);
-    }
-    std::vector<dataflow::BatchOutput> outs;
-    {
-      MOCHA_TRACE_SCOPE("serve.execute", "serve");
-      outs = dataflow::run_functional_batch(model->net, *plan, inputs,
-                                            model->weights, exec);
-    }
-    const std::uint64_t end = util::steady_now_ns();
-    if (primary) {
-      model->breaker->record_primary_success(end, end - start);
-      publish_breaker_gauge(*model);
-    }
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    batch_coalesced_.fetch_add(static_cast<std::int64_t>(live.size()),
-                               std::memory_order_relaxed);
-    MOCHA_METRIC_ADD(lanes_.batches, 1);
-    MOCHA_METRIC_ADD(lanes_.batch_coalesced,
-                     static_cast<std::int64_t>(live.size()));
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      Response& resp = resps[i];
-      resp.attempts = 1;
-      if (outs[i].cancelled) {
-        resp.outcome = live[i].ticket->token().cancel_requested()
-                           ? Outcome::Cancelled
-                           : Outcome::DeadlineExceeded;
-        resp.message = "cancelled mid-batch";
-      } else {
-        resp.outcome = Outcome::Completed;
-        resp.output = std::move(outs[i].result.outputs.back());
-        resp.codec_retries += outs[i].result.codec_retries;
-        resp.fallback_plan = !primary;
-        if (!primary) {
-          fallback_completions_.fetch_add(1, std::memory_order_relaxed);
-          MOCHA_METRIC_ADD(lanes_.fallback_completions, 1);
-        }
-        MOCHA_METRIC_HIST(lanes_.exec_latency_us,
-                          static_cast<std::int64_t>((end - start) / 1000));
-      }
-      finish(live[i], std::move(resp));
-    }
-  } catch (const std::exception&) {
-    // Plan or execution failed at batch granularity (CheckFailure, or the
-    // defensive catch-all). Nothing was finished on this path — finishes
-    // happen only after a successful batch run — so fall back to the
-    // per-request path: each request re-runs individually and books its own
-    // breaker/retry outcome, with no double counting.
-    if (primary) {
-      model->breaker->record_primary_failure(util::steady_now_ns());
-      publish_breaker_gauge(*model);
-    }
-    for (QueuedRequest& item : live) process(std::move(item));
   }
 }
 
@@ -704,19 +670,7 @@ void ServeEngine::shutdown(bool drain) {
 ServeStats ServeEngine::stats() const {
   ServeStats out;
   out.submitted = submitted_.load(std::memory_order_relaxed);
-  std::int64_t terminal = 0;
-  for (int i = 0; i < 8; ++i) {
-    out.by_outcome[i] = by_outcome_[i].load(std::memory_order_relaxed);
-    terminal += out.by_outcome[i];
-    const auto outcome = static_cast<Outcome>(i);
-    if (outcome == Outcome::Completed) {
-      out.completed += out.by_outcome[i];
-    } else if (outcome_is_shed(outcome)) {
-      out.shed += out.by_outcome[i];
-    } else if (outcome_is_failure(outcome)) {
-      out.failed += out.by_outcome[i];
-    }
-  }
+  const std::int64_t terminal = load_outcomes(by_outcome_, &out);
   out.stolen_in = stolen_in_.load(std::memory_order_relaxed);
   out.stolen_out = stolen_out_.load(std::memory_order_relaxed);
   out.in_flight = out.submitted + out.stolen_in - out.stolen_out - terminal;

@@ -21,10 +21,19 @@
 //    (model, fault scenario, primary|fallback) -> plan, so fault churn
 //    replans once per scenario, not once per request.
 //
+// Execution has one path. A worker dequeues up to max_batch same-model
+// requests and hands them to process(); a single request is a batch of one.
+// Each attempt runs the group through one run_functional_batch pass (every
+// item with its own cancel token and fault seed) and books the breaker
+// once. Under injected codec flips or stalls the group splits into
+// singletons: flips need per-attempt fault seeds wired into per-request
+// retry, and a stall sleeps on one ticket. Only singletons retry; a
+// coalesced pass that fails re-runs its items as singletons.
+//
 // Every submission resolves to exactly one terminal Outcome — the
 // conservation law (submitted == completed + shed + failed once idle) that
 // the serve_soak ctest hammers. Execution runs on the engine's worker
-// threads; the tile-level parallelism inside run_functional still fans out
+// threads; the tile-level parallelism inside the executor still fans out
 // on the global chunked thread pool.
 #pragma once
 
@@ -106,8 +115,9 @@ struct ServeStats {
   /// the engine that finishes it.
   std::int64_t stolen_in = 0;
   std::int64_t stolen_out = 0;
-  /// Coalesced executor passes (cross-request batching, max_batch > 1) and
-  /// the requests served by them.
+  /// Coalesced executor passes (cross-request batching, max_batch > 1):
+  /// passes that served more than one request, and the requests they
+  /// served.
   std::int64_t batches = 0;
   std::int64_t batch_coalesced = 0;
 
@@ -206,10 +216,9 @@ class ServeEngine {
   std::shared_ptr<const dataflow::NetworkPlan> plan_for(Model& model,
                                                         bool primary);
   void worker_loop();
-  void process(QueuedRequest item);
-  /// Coalesced path for a same-model batch (worker thread). Falls back to
-  /// per-request process() whenever batch semantics would be lossy.
-  void process_batch(std::vector<QueuedRequest> items);
+  /// The one execution path (worker thread): a dequeued same-model batch,
+  /// a single request being a batch of one. See the header comment.
+  void process(std::vector<QueuedRequest> items);
   /// Resolves the ticket and books the terminal outcome into the stats.
   void finish(const QueuedRequest& item, Response&& response);
   void publish_breaker_gauge(Model& model);

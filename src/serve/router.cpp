@@ -280,14 +280,14 @@ void ShardRouter::on_attempt(const RoutePtr& route, std::size_t attempt,
                              int shard, const Response& response) {
   std::vector<TicketPtr> to_cancel;
   bool resolve = false;
-  bool loser = false;
   bool failover = false;
   Response client_resp;
   {
     std::lock_guard<std::mutex> lock(route->mu);
     --route->outstanding;
     if (route->done) {
-      loser = true;  // another attempt already resolved the client
+      // A loser: another attempt already resolved the client. Only its
+      // health signal (below) still counts.
     } else if (response.outcome == Outcome::Completed) {
       route->done = true;
       route->hedge_due_ns = 0;
@@ -327,7 +327,7 @@ void ShardRouter::on_attempt(const RoutePtr& route, std::size_t attempt,
       }
     }
   }
-  record_attempt_health(shard, response, loser);
+  record_attempt_health(shard, response);
   for (const TicketPtr& t : to_cancel) t->cancel();
   if (resolve) resolve_client(route, std::move(client_resp));
   if (failover) issue_attempt(route, /*failover=*/true);
@@ -340,13 +340,11 @@ void ShardRouter::on_attempt(const RoutePtr& route, std::size_t attempt,
   if (finished) erase_route(route->id);
 }
 
-void ShardRouter::record_attempt_health(int shard, const Response& response,
-                                        bool loser) {
+void ShardRouter::record_attempt_health(int shard, const Response& response) {
   // Cancelled attempts carry no health signal: they are our own first-wins
-  // cancellation (the loser) or a client hang-up — neither is the shard's
-  // fault.
+  // cancellation (a hedge loser) or a client hang-up — neither is the
+  // shard's fault. A completed loser is still a healthy signal.
   if (response.outcome == Outcome::Cancelled) return;
-  (void)loser;  // a completed loser is still a healthy signal
   Shard& sh = *shards_[static_cast<std::size_t>(shard)];
   const std::uint64_t now = util::steady_now_ns();
   if (response.outcome == Outcome::Completed) {
@@ -593,13 +591,7 @@ void ShardRouter::on_canary(int shard, bool probe, const Response& response) {
     }
     return;
   }
-  if (response.outcome == Outcome::Completed) {
-    sh.health.record_success(now, response.latency_ns);
-  } else if (outcome_is_shed(response.outcome)) {
-    sh.health.record_failure(now, /*hard=*/false);
-  } else if (response.outcome != Outcome::Cancelled) {
-    sh.health.record_failure(now, /*hard=*/true);
-  }
+  record_attempt_health(shard, response);
   sh.canary_outstanding.store(false, std::memory_order_release);
 }
 
@@ -658,19 +650,7 @@ void ShardRouter::shutdown(bool drain) {
 RouterStats ShardRouter::stats() const {
   RouterStats out;
   out.submitted = submitted_.load(std::memory_order_relaxed);
-  std::int64_t terminal = 0;
-  for (int i = 0; i < 8; ++i) {
-    out.by_outcome[i] = by_outcome_[i].load(std::memory_order_relaxed);
-    terminal += out.by_outcome[i];
-    const auto outcome = static_cast<Outcome>(i);
-    if (outcome == Outcome::Completed) {
-      out.completed += out.by_outcome[i];
-    } else if (outcome_is_shed(outcome)) {
-      out.shed += out.by_outcome[i];
-    } else if (outcome_is_failure(outcome)) {
-      out.failed += out.by_outcome[i];
-    }
-  }
+  const std::int64_t terminal = load_outcomes(by_outcome_, &out);
   out.in_flight = out.submitted - terminal;
   out.hedges_issued = hedges_issued_.load(std::memory_order_relaxed);
   out.hedge_wins = hedge_wins_.load(std::memory_order_relaxed);

@@ -264,8 +264,7 @@ class ShardRouter {
   void issue_attempt(const RoutePtr& route, bool failover);
   void on_attempt(const RoutePtr& route, std::size_t attempt, int shard,
                   const Response& response);
-  void record_attempt_health(int shard, const Response& response,
-                             bool loser);
+  void record_attempt_health(int shard, const Response& response);
   /// Resolves the client ticket exactly once and books fleet stats.
   void resolve_client(const RoutePtr& route, Response&& response);
   void erase_route(std::uint64_t id);

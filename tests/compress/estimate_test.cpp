@@ -32,6 +32,14 @@ struct EstimateCase {
   double tolerance;  // relative error allowed vs the real codec
 };
 
+// Without this, GoogleTest prints the case as a raw byte dump that takes in
+// the struct's padding, and so the listed test names would change from run
+// to run.
+void PrintTo(const EstimateCase& c, std::ostream* os) {
+  *os << codec_name(c.kind) << " sparsity " << c.sparsity << " tolerance "
+      << c.tolerance;
+}
+
 class EstimateAccuracy : public ::testing::TestWithParam<EstimateCase> {};
 
 TEST_P(EstimateAccuracy, TracksRealCodec) {

@@ -1,13 +1,16 @@
 // ServeEngine end to end: correct outputs, deadline/cancel outcomes, retry
 // exhaustion vs executor self-healing, circuit-break to the fallback plan
-// and recovery after heal, per-tenant rate limits, shutdown semantics — and
-// the conservation law after every scenario.
+// and recovery after heal, per-tenant rate limits, shutdown semantics,
+// batching under faults and mid-batch cancellation — and the conservation
+// law after every scenario.
 #include "serve/engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <thread>
+#include <utility>
 
 #include "nn/generate.hpp"
 #include "nn/reference.hpp"
@@ -24,7 +27,9 @@ struct Fixture {
   std::vector<nn::ValueTensor> reference;
   nn::Quant quant;
 
-  Fixture() : net(nn::make_single_conv(4, 16, 16, 8, 3, 1, 1)) {
+  explicit Fixture(nn::Network network = nn::make_single_conv(4, 16, 16, 8, 3,
+                                                             1, 1))
+      : net(std::move(network)) {
     util::Rng rng(7);
     input = nn::random_tensor(net.layers.front().input_shape(), 0.4, rng);
     weights = nn::random_weights(net, 0.3, rng);
@@ -353,6 +358,100 @@ TEST(ServeEngine, BatchingCoalescesAndMatchesReference) {
   // holds at least two of them.
   EXPECT_GE(stats.batch_coalesced, 2 * stats.batches);
   EXPECT_EQ(stats.completed, 24);
+}
+
+TEST(ServeEngine, BatchingUnderFaultsKeepsPerRequestRetry) {
+  const Fixture f;
+  ServeOptions options;
+  options.workers = 1;
+  options.queue_capacity = 64;
+  options.max_batch = 4;
+  options.codec_retry_budget = 0;  // any corruption fails the attempt
+  options.retry.backoff_base_ms = 0;
+  options.retry.backoff_cap_ms = 0;
+  // The first failure opens the breaker for the rest of the test: the
+  // failed request retries once on the codec-free fallback plan, and every
+  // later request runs the fallback plan on its first attempt.
+  options.breaker.failure_threshold = 1;
+  options.breaker.cooldown_ms = 60'000;
+  ServeEngine engine(options);
+  f.register_on(engine, "m");
+  engine.set_fault_scenario(certain_flips());
+
+  // The first request's cold plan search keeps the worker busy while the
+  // rest queue up, so the worker dequeues multi-request batches.
+  constexpr int kRequests = 12;
+  std::vector<TicketPtr> tickets;
+  std::vector<std::atomic<int>> resolved(kRequests);
+  for (int i = 0; i < kRequests; ++i) {
+    tickets.push_back(engine.submit(f.request("m")));
+    tickets.back()->on_resolve([&resolved, i](const Response&) {
+      resolved[static_cast<std::size_t>(i)].fetch_add(1);
+    });
+  }
+  engine.shutdown(/*drain=*/true);
+
+  for (int i = 0; i < kRequests; ++i) {
+    const Response& resp = tickets[static_cast<std::size_t>(i)]->wait();
+    EXPECT_EQ(resolved[static_cast<std::size_t>(i)].load(), 1);
+    ASSERT_EQ(resp.outcome, Outcome::Completed) << resp.message;
+    EXPECT_TRUE(resp.output == f.reference.back());
+    EXPECT_TRUE(resp.fallback_plan);
+    // Dequeue order is submission order: only the first request met the
+    // closed breaker and paid a retry.
+    EXPECT_EQ(resp.attempts, i == 0 ? 2 : 1) << "request " << i;
+  }
+  const ServeStats stats = engine.stats();
+  expect_conserved(stats);
+  EXPECT_EQ(stats.completed, kRequests);
+  EXPECT_EQ(stats.retries, 1);
+  EXPECT_EQ(stats.fallback_completions, kRequests);
+  // Injected flips need per-request fault seeds: no pass was coalesced.
+  EXPECT_EQ(stats.batches, 0);
+}
+
+TEST(ServeEngine, CancelInCoalescedBatchSparesTheOthers) {
+  // Heavy enough (tens of ms per image) that the batch is still on its
+  // first image when the victim, its last image, is cancelled.
+  const Fixture f(nn::make_single_conv(48, 64, 64, 48, 3, 1, 1));
+  ServeOptions options;
+  options.workers = 1;
+  options.queue_capacity = 64;
+  options.max_batch = 4;
+  options.default_deadline_ms = 0;
+  ServeEngine engine(options);
+  f.register_on(engine, "m");
+  const auto wait_dequeued = [&engine] {
+    while (engine.queue_depth() > 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  };
+
+  // A lone request occupies the worker while the batch queues behind it.
+  const TicketPtr blocker = engine.submit(f.request("m"));
+  wait_dequeued();
+  std::vector<TicketPtr> batch;
+  for (int i = 0; i < 4; ++i) batch.push_back(engine.submit(f.request("m")));
+  wait_dequeued();  // all four popped together, as one batch
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  batch.back()->cancel();
+
+  EXPECT_EQ(blocker->wait().outcome, Outcome::Completed);
+  for (std::size_t i = 0; i + 1 < batch.size(); ++i) {
+    const Response& resp = batch[i]->wait();
+    ASSERT_EQ(resp.outcome, Outcome::Completed) << resp.message;
+    EXPECT_TRUE(resp.output == f.reference.back());
+  }
+  const Response& victim = batch.back()->wait();
+  EXPECT_EQ(victim.outcome, Outcome::Cancelled);
+  EXPECT_EQ(victim.attempts, 1);  // it was executing, not queued
+  EXPECT_EQ(victim.message, "cancelled mid-execution");
+  engine.shutdown();
+  const ServeStats stats = engine.stats();
+  expect_conserved(stats);
+  EXPECT_EQ(stats.completed, 4);
+  EXPECT_EQ(stats.batches, 1);
+  EXPECT_EQ(stats.batch_coalesced, 4);
 }
 
 TEST(ServeEngine, InjectedStallSlowsExecutionButCompletes) {

@@ -34,10 +34,8 @@
 #include <fstream>
 #include <iostream>
 #include <iterator>
-#include <limits>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -50,6 +48,7 @@
 #include "obs/trace.hpp"
 #include "serve/signal.hpp"
 #include "sim/trace.hpp"
+#include "util/cli.hpp"
 #include "util/cpuid.hpp"
 #include "util/json.hpp"
 
@@ -71,136 +70,65 @@ struct Args {
   std::string trace_file;             // Chrome trace with flow events
 };
 
-[[noreturn]] void usage(const char* argv0) {
-  std::cerr
-      << "usage: " << argv0
-      << " [--network alexnet|vgg16|lenet5|nin|mobilenet]\n"
-         "       [--objective edp|cycles|energy] [--batch N] [--sram-kib N] "
-         "[--pe N] [--clock-mhz N]\n"
-         "       [--no-compression] [--huffman] [--top-k N]\n"
-         "       [--what-if unbounded|RES+N|RES*K|KIND/F]...\n"
-         "       [--out FILE] [--emit-hints FILE] [--trace FILE] "
-         "[--isa scalar|avx2|neon]\n";
-  std::exit(2);
-}
-
-[[noreturn]] void bad_arg(const char* argv0, const std::string& message) {
-  std::cerr << "error: " << message << "\n";
-  usage(argv0);
-}
-
-/// Strict integer: whole string must parse and land inside [lo, hi].
-std::int64_t parse_int(const char* argv0, const std::string& flag,
-                       const std::string& text, std::int64_t lo,
-                       std::int64_t hi) {
-  std::int64_t value = 0;
-  std::size_t used = 0;
-  try {
-    value = std::stoll(text, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  if (used != text.size() || text.empty()) {
-    bad_arg(argv0, flag + " expects an integer, got '" + text + "'");
-  }
-  if (value < lo || value > hi) {
-    bad_arg(argv0, flag + "=" + text + " outside [" + std::to_string(lo) +
-                       ", " + std::to_string(hi) + "]");
-  }
-  return value;
-}
-
-/// Strict finite double inside [lo, hi].
-double parse_double(const char* argv0, const std::string& flag,
-                    const std::string& text, double lo, double hi) {
-  double value = 0;
-  std::size_t used = 0;
-  try {
-    value = std::stod(text, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  if (used != text.size() || text.empty() || !std::isfinite(value)) {
-    bad_arg(argv0, flag + " expects a number, got '" + text + "'");
-  }
-  if (value < lo || value > hi) {
-    std::ostringstream os;
-    os << flag << "=" << text << " outside [" << lo << ", " << hi << "]";
-    bad_arg(argv0, os.str());
-  }
-  return value;
-}
+constexpr const char* kUsage =
+    " [--network alexnet|vgg16|lenet5|nin|mobilenet]\n"
+    "       [--objective edp|cycles|energy] [--batch N] [--sram-kib N] "
+    "[--pe N] [--clock-mhz N]\n"
+    "       [--no-compression] [--huffman] [--top-k N]\n"
+    "       [--what-if unbounded|RES+N|RES*K|KIND/F]...\n"
+    "       [--out FILE] [--emit-hints FILE] [--trace FILE] "
+    "[--isa scalar|avx2|neon]\n";
 
 Args parse(int argc, char** argv) {
   Args args;
-  for (int i = 1; i < argc; ++i) {
-    std::string flag = argv[i];
-    bool have_inline = false;
-    std::string inline_value;
-    if (flag.rfind("--", 0) == 0) {
-      const std::size_t eq = flag.find('=');
-      if (eq != std::string::npos) {
-        have_inline = true;
-        inline_value = flag.substr(eq + 1);
-        flag = flag.substr(0, eq);
-      }
-    }
-    bool took_value = false;
-    auto value = [&]() -> std::string {
-      took_value = true;
-      if (have_inline) return inline_value;
-      if (i + 1 >= argc) bad_arg(argv[0], flag + " expects a value");
-      return argv[++i];
-    };
+  mocha::util::ArgParser cli(argc, argv, kUsage);
+  while (cli.next()) {
+    const std::string& flag = cli.flag();
     if (flag == "--network") {
-      args.network = value();
+      args.network = cli.value();
     } else if (flag == "--objective") {
-      args.objective = value();
+      args.objective = cli.value();
     } else if (flag == "--batch") {
-      args.batch = parse_int(argv[0], flag, value(), 1, 1 << 20);
+      args.batch = cli.int_value(1, 1 << 20);
     } else if (flag == "--sram-kib") {
-      args.sram_kib = parse_int(argv[0], flag, value(), 1, 1 << 24);
+      args.sram_kib = cli.int_value(1, 1 << 24);
     } else if (flag == "--pe") {
-      args.pe = static_cast<int>(parse_int(argv[0], flag, value(), 1, 4096));
+      args.pe = static_cast<int>(cli.int_value(1, 4096));
     } else if (flag == "--clock-mhz") {
-      args.clock_mhz = parse_double(argv[0], flag, value(), 1e-3, 1e6);
+      args.clock_mhz = cli.double_value(1e-3, 1e6);
     } else if (flag == "--no-compression") {
       args.no_compression = true;
     } else if (flag == "--huffman") {
       args.huffman = true;
     } else if (flag == "--top-k") {
-      args.top_k =
-          static_cast<int>(parse_int(argv[0], flag, value(), 1, 100));
+      args.top_k = static_cast<int>(cli.int_value(1, 100));
     } else if (flag == "--what-if") {
-      const std::string spec = value();
+      const std::string spec = cli.value();
       // Validate the grammar now so a typo is a CLI error, not a mid-run
       // abort after minutes of planning.
       try {
         (void)mocha::obs::parse_what_if(spec);
       } catch (const mocha::CheckFailure& e) {
-        bad_arg(argv[0], e.what());
+        cli.fail(e.what());
       }
       args.what_ifs.push_back(spec);
     } else if (flag == "--out") {
-      args.out_file = value();
+      args.out_file = cli.value();
     } else if (flag == "--emit-hints") {
-      args.hints_file = value();
+      args.hints_file = cli.value();
     } else if (flag == "--trace") {
-      args.trace_file = value();
+      args.trace_file = cli.value();
     } else if (flag == "--isa") {
-      const std::string text = value();
+      const std::string text = cli.value();
       mocha::util::KernelIsa isa;
       if (!mocha::util::parse_isa(text, &isa)) {
-        bad_arg(argv[0], "--isa expects scalar|avx2|neon, got '" + text + "'");
+        cli.fail("--isa expects scalar|avx2|neon, got '" + text + "'");
       }
       mocha::util::force_isa(isa);
     } else if (flag == "--help" || flag == "-h") {
-      usage(argv[0]);
+      cli.usage();
     } else {
-      bad_arg(argv[0], "unknown flag: " + flag);
-    }
-    if (have_inline && !took_value) {
-      bad_arg(argv[0], flag + " does not take a value");
+      cli.fail("unknown flag: " + flag);
     }
   }
   return args;

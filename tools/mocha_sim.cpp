@@ -35,6 +35,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/json_parse.hpp"
+#include "util/cli.hpp"
 #include "util/cpuid.hpp"
 #include "serve/signal.hpp"
 #include "sim/dot.hpp"
@@ -65,109 +66,37 @@ struct Args {
   std::uint64_t fault_seed = 42;
 };
 
-[[noreturn]] void usage(const char* argv0) {
-  std::cerr
-      << "usage: " << argv0
-      << " [--network alexnet|vgg16|lenet5|nin|mobilenet] [--accelerator "
-         "mocha|tiling|merge|parallel|nextbest]\n"
-         "       [--objective edp|cycles|energy] [--batch N] [--sram-kib N] "
-         "[--pe N] [--clock-mhz N]\n"
-         "       [--no-compression] [--huffman] [--json] [--plan] "
-         "[--dot FILE]\n"
-         "       [--trace FILE] [--trace-flows] [--metrics] "
-         "[--isa scalar|avx2|neon]\n"
-         "       [--critpath] [--slack-hints FILE]\n"
-         "       [--faults FILE] [--fault-kill FRAC] [--fault-seed N]\n";
-  std::exit(2);
-}
-
-/// Malformed command line: explain on stderr, then the usual usage + exit 2.
-[[noreturn]] void bad_arg(const char* argv0, const std::string& message) {
-  std::cerr << "error: " << message << "\n";
-  usage(argv0);
-}
-
-/// Strict integer: whole string must parse and land inside [lo, hi].
-/// stoll's exceptions (and its tolerance for trailing junk like "4x") must
-/// not leak out of argument parsing as aborts.
-std::int64_t parse_int(const char* argv0, const std::string& flag,
-                       const std::string& text, std::int64_t lo,
-                       std::int64_t hi) {
-  std::int64_t value = 0;
-  std::size_t used = 0;
-  try {
-    value = std::stoll(text, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  if (used != text.size() || text.empty()) {
-    bad_arg(argv0, flag + " expects an integer, got '" + text + "'");
-  }
-  if (value < lo || value > hi) {
-    bad_arg(argv0, flag + "=" + text + " outside [" + std::to_string(lo) +
-                       ", " + std::to_string(hi) + "]");
-  }
-  return value;
-}
-
-/// Strict finite double inside [lo, hi].
-double parse_double(const char* argv0, const std::string& flag,
-                    const std::string& text, double lo, double hi) {
-  double value = 0;
-  std::size_t used = 0;
-  try {
-    value = std::stod(text, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  if (used != text.size() || text.empty() || !std::isfinite(value)) {
-    bad_arg(argv0, flag + " expects a number, got '" + text + "'");
-  }
-  if (value < lo || value > hi) {
-    std::ostringstream os;
-    os << flag << "=" << text << " outside [" << lo << ", " << hi << "]";
-    bad_arg(argv0, os.str());
-  }
-  return value;
-}
+constexpr const char* kUsage =
+    " [--network alexnet|vgg16|lenet5|nin|mobilenet] [--accelerator "
+    "mocha|tiling|merge|parallel|nextbest]\n"
+    "       [--objective edp|cycles|energy] [--batch N] [--sram-kib N] "
+    "[--pe N] [--clock-mhz N]\n"
+    "       [--no-compression] [--huffman] [--json] [--plan] "
+    "[--dot FILE]\n"
+    "       [--trace FILE] [--trace-flows] [--metrics] "
+    "[--isa scalar|avx2|neon]\n"
+    "       [--critpath] [--slack-hints FILE]\n"
+    "       [--faults FILE] [--fault-kill FRAC] [--fault-seed N]\n";
 
 Args parse(int argc, char** argv) {
   Args args;
-  for (int i = 1; i < argc; ++i) {
-    std::string flag = argv[i];
-    // --key=value and "--key value" are both accepted.
-    bool have_inline = false;
-    std::string inline_value;
-    if (flag.rfind("--", 0) == 0) {
-      const std::size_t eq = flag.find('=');
-      if (eq != std::string::npos) {
-        have_inline = true;
-        inline_value = flag.substr(eq + 1);
-        flag = flag.substr(0, eq);
-      }
-    }
-    bool took_value = false;
-    auto value = [&]() -> std::string {
-      took_value = true;
-      if (have_inline) return inline_value;
-      if (i + 1 >= argc) bad_arg(argv[0], flag + " expects a value");
-      return argv[++i];
-    };
+  mocha::util::ArgParser cli(argc, argv, kUsage);
+  while (cli.next()) {
+    const std::string& flag = cli.flag();
     if (flag == "--network") {
-      args.network = value();
+      args.network = cli.value();
     } else if (flag == "--accelerator") {
-      args.accelerator = value();
+      args.accelerator = cli.value();
     } else if (flag == "--objective") {
-      args.objective = value();
+      args.objective = cli.value();
     } else if (flag == "--batch") {
-      args.batch = parse_int(argv[0], flag, value(), 1, 1 << 20);
+      args.batch = cli.int_value(1, 1 << 20);
     } else if (flag == "--sram-kib") {
-      args.sram_kib = parse_int(argv[0], flag, value(), 1, 1 << 24);
+      args.sram_kib = cli.int_value(1, 1 << 24);
     } else if (flag == "--pe") {
-      args.pe =
-          static_cast<int>(parse_int(argv[0], flag, value(), 1, 4096));
+      args.pe = static_cast<int>(cli.int_value(1, 4096));
     } else if (flag == "--clock-mhz") {
-      args.clock_mhz = parse_double(argv[0], flag, value(), 1e-3, 1e6);
+      args.clock_mhz = cli.double_value(1e-3, 1e6);
     } else if (flag == "--no-compression") {
       args.no_compression = true;
     } else if (flag == "--huffman") {
@@ -177,9 +106,9 @@ Args parse(int argc, char** argv) {
     } else if (flag == "--plan") {
       args.show_plan = true;
     } else if (flag == "--dot") {
-      args.dot_file = value();
+      args.dot_file = cli.value();
     } else if (flag == "--trace") {
-      args.trace_file = value();
+      args.trace_file = cli.value();
     } else if (flag == "--metrics") {
       args.metrics = true;
     } else if (flag == "--critpath") {
@@ -187,41 +116,38 @@ Args parse(int argc, char** argv) {
     } else if (flag == "--trace-flows") {
       args.trace_flows = true;
     } else if (flag == "--slack-hints") {
-      args.slack_hints_file = value();
+      args.slack_hints_file = cli.value();
     } else if (flag == "--faults") {
-      args.faults_file = value();
+      args.faults_file = cli.value();
     } else if (flag == "--fault-kill") {
-      args.fault_kill = parse_double(argv[0], flag, value(), 0.0, 0.95);
+      args.fault_kill = cli.double_value(0.0, 0.95);
     } else if (flag == "--fault-seed") {
-      args.fault_seed = static_cast<std::uint64_t>(parse_int(
-          argv[0], flag, value(), 0, std::numeric_limits<std::int64_t>::max()));
+      args.fault_seed = static_cast<std::uint64_t>(
+          cli.int_value(0, std::numeric_limits<std::int64_t>::max()));
     } else if (flag == "--isa") {
       // Kernel/codec dispatch override, same values as MOCHA_KERNEL_ISA.
       // Parse errors are a CLI problem (exit 2); an unsupported-but-valid
       // ISA is a host/build problem and stays the hard MOCHA_CHECK.
-      const std::string text = value();
+      const std::string text = cli.value();
       mocha::util::KernelIsa isa;
       if (!mocha::util::parse_isa(text, &isa)) {
-        bad_arg(argv[0], "--isa expects scalar|avx2|neon, got '" + text + "'");
+        cli.fail("--isa expects scalar|avx2|neon, got '" + text + "'");
       }
       mocha::util::force_isa(isa);
     } else if (flag == "--help" || flag == "-h") {
-      usage(argv[0]);
+      cli.usage();
     } else {
-      bad_arg(argv[0], "unknown flag: " + flag);
-    }
-    if (have_inline && !took_value) {
-      bad_arg(argv[0], flag + " does not take a value");
+      cli.fail("unknown flag: " + flag);
     }
   }
   if (!args.faults_file.empty() && args.fault_kill > 0.0) {
-    bad_arg(argv[0], "--faults and --fault-kill are mutually exclusive");
+    cli.fail("--faults and --fault-kill are mutually exclusive");
   }
   if (args.trace_flows && args.trace_file.empty()) {
-    bad_arg(argv[0], "--trace-flows requires --trace");
+    cli.fail("--trace-flows requires --trace");
   }
   if (!args.slack_hints_file.empty() && args.accelerator != "mocha") {
-    bad_arg(argv[0], "--slack-hints only applies to --accelerator mocha");
+    cli.fail("--slack-hints only applies to --accelerator mocha");
   }
   return args;
 }
@@ -407,28 +333,27 @@ int run(const Args& args) {
         customize(fabric::mocha_default_config()), model::default_tech(),
         std::make_shared<core::MorphController>(model::default_tech(),
                                                 options));
-    report = acc.run(net, {}, args.batch);
+    // Accelerator::run, split so --plan/--dot reuse the one planner pass.
+    const auto stats = core::assumed_stats(net, nn::SparsityProfile{});
+    const dataflow::NetworkPlan plan = acc.plan(net, stats, args.batch);
+    report = acc.run_with_plan(net, plan, stats, args.batch);
     used_config = acc.config();
-    if (args.show_plan || !args.dot_file.empty()) {
-      const auto stats = core::assumed_stats(net, nn::SparsityProfile{});
-      const auto plan = acc.plan(net, stats, args.batch);
-      if (args.show_plan) {
-        for (std::size_t i = 0; i < plan.layers.size(); ++i) {
-          std::cerr << net.layers[i].name << ": " << plan.layers[i].summary()
-                    << "\n";
-        }
+    if (args.show_plan) {
+      for (std::size_t i = 0; i < plan.layers.size(); ++i) {
+        std::cerr << net.layers[i].name << ": " << plan.layers[i].summary()
+                  << "\n";
       }
-      if (!args.dot_file.empty()) {
-        // Export the first scheduled group's executed task graph.
-        const auto group = plan.fusion_groups().front();
-        dataflow::BuiltSchedule built = dataflow::build_group_schedule(
-            net, plan, group, acc.config(), stats, args.batch);
-        sim::Engine(built.layout.specs).run(built.graph);
-        std::ofstream out(args.dot_file);
-        out << sim::to_dot(built.graph, built.layout.specs);
-        std::cerr << "wrote " << args.dot_file << " ("
-                  << built.graph.size() << " tasks)\n";
-      }
+    }
+    if (!args.dot_file.empty()) {
+      // Export the first scheduled group's executed task graph.
+      const auto group = plan.fusion_groups().front();
+      dataflow::BuiltSchedule built = dataflow::build_group_schedule(
+          net, plan, group, acc.config(), stats, args.batch);
+      sim::Engine(built.layout.specs).run(built.graph);
+      std::ofstream out(args.dot_file);
+      out << sim::to_dot(built.graph, built.layout.specs);
+      std::cerr << "wrote " << args.dot_file << " ("
+                << built.graph.size() << " tasks)\n";
     }
   } else if (args.accelerator == "nextbest") {
     baseline::NextBest best =
