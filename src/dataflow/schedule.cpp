@@ -1,7 +1,6 @@
 #include "dataflow/schedule.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "dataflow/tiling.hpp"
 #include "fabric/pe_array.hpp"
@@ -14,6 +13,7 @@ namespace {
 using sim::Task;
 using sim::TaskId;
 using sim::TaskKind;
+using sim::TaskLabel;
 
 /// Sizes of successive passes covering `total` in steps of `chunk`.
 std::vector<Index> pass_sizes(Index total, Index chunk) {
@@ -38,21 +38,33 @@ std::vector<Index> partition(Index total, int parts) {
   return sizes;
 }
 
-/// Distributes `total` over weights proportionally; remainders to entry 0.
-std::vector<std::int64_t> distribute(std::int64_t total,
-                                     const std::vector<Index>& weights) {
-  std::int64_t weight_sum = 0;
-  for (Index w : weights) weight_sum += w;
-  MOCHA_CHECK(weight_sum > 0, "distribute over zero weight");
-  std::vector<std::int64_t> shares(weights.size());
-  std::int64_t assigned = 0;
-  for (std::size_t i = 1; i < weights.size(); ++i) {
-    shares[i] = total * weights[i] / weight_sum;
-    assigned += shares[i];
+/// `total` split over weights proportionally, the rounding remainder to
+/// entry 0. Shares are computed on access, so a split allocates nothing.
+class Distribution {
+ public:
+  Distribution(std::int64_t total, const std::vector<Index>& weights)
+      : total_(total), weights_(weights) {
+    for (Index w : weights) weight_sum_ += w;
+    MOCHA_CHECK(weight_sum_ > 0, "distribute over zero weight");
+    std::int64_t assigned = 0;
+    for (std::size_t i = 1; i < weights.size(); ++i) assigned += share(i);
+    first_ = total - assigned;
   }
-  shares[0] = total - assigned;
-  return shares;
-}
+
+  std::int64_t operator[](std::size_t i) const {
+    return i == 0 ? first_ : share(i);
+  }
+
+ private:
+  std::int64_t share(std::size_t i) const {
+    return total_ * weights_[i] / weight_sum_;
+  }
+
+  std::int64_t total_;
+  const std::vector<Index>& weights_;
+  std::int64_t weight_sum_ = 0;
+  std::int64_t first_ = 0;
+};
 
 constexpr std::int64_t kValueBytes = static_cast<std::int64_t>(sizeof(nn::Value));
 constexpr std::int64_t kPartialBytes = 4;  // 32-bit accumulators in SRAM
@@ -107,11 +119,11 @@ class GroupBuilder {
  private:
   // ---- task helpers ----------------------------------------------------
 
-  TaskId add_load(std::string label, std::int64_t coded_bytes,
+  TaskId add_load(TaskLabel label, std::int64_t coded_bytes,
                   std::vector<TaskId> deps, std::int64_t alloc_bytes) {
     Task t;
     t.kind = TaskKind::DmaLoad;
-    t.label = std::move(label);
+    t.label = label;
     t.resources = {layout_.dram};
     t.duration = dram_.transfer_cycles(coded_bytes);
     t.deps = std::move(deps);
@@ -121,11 +133,11 @@ class GroupBuilder {
     return graph_.add(std::move(t));
   }
 
-  TaskId add_store(std::string label, std::int64_t coded_bytes,
+  TaskId add_store(TaskLabel label, std::int64_t coded_bytes,
                    std::vector<TaskId> deps, std::int64_t free_bytes) {
     Task t;
     t.kind = TaskKind::DmaStore;
-    t.label = std::move(label);
+    t.label = label;
     t.resources = {layout_.dram};
     t.duration = dram_.transfer_cycles(coded_bytes);
     t.deps = std::move(deps);
@@ -135,13 +147,13 @@ class GroupBuilder {
     return graph_.add(std::move(t));
   }
 
-  TaskId add_compress(std::string label, compress::CodecKind kind,
+  TaskId add_compress(TaskLabel label, compress::CodecKind kind,
                       std::int64_t raw_bytes, std::int64_t coded_bytes,
                       std::vector<TaskId> deps) {
     MOCHA_CHECK(layout_.codec >= 0, "compress task without codec engines");
     Task t;
     t.kind = TaskKind::Compress;
-    t.label = std::move(label);
+    t.label = label;
     t.resources = {layout_.codec};
     t.duration = codec_cycles(config_, kind, raw_bytes);
     t.deps = std::move(deps);
@@ -152,11 +164,11 @@ class GroupBuilder {
     return graph_.add(std::move(t));
   }
 
-  TaskId add_barrier(std::string label, std::vector<TaskId> deps,
+  TaskId add_barrier(TaskLabel label, std::vector<TaskId> deps,
                      std::int64_t free_bytes) {
     Task t;
     t.kind = TaskKind::Barrier;
-    t.label = std::move(label);
+    t.label = label;
     t.resources = {layout_.ctrl};
     t.duration = 0;
     t.deps = std::move(deps);
@@ -178,13 +190,13 @@ class GroupBuilder {
     std::int64_t sram_write_bytes = 0;
   };
 
-  TaskId add_compute(std::string label, const ComputeChunkSpec& spec,
+  TaskId add_compute(TaskLabel label, const ComputeChunkSpec& spec,
                      std::vector<TaskId> deps,
                      std::int64_t alloc_bytes = 0,
                      std::int64_t free_bytes = 0) {
     Task t;
     t.kind = TaskKind::Compute;
-    t.label = std::move(label);
+    t.label = label;
     t.resources = {layout_.pe};
     const std::uint64_t mac_cycles = compute_chunk_cycles(
         config_, spec.positions, spec.macs_per_position, pes_per_group_,
@@ -221,6 +233,17 @@ class GroupBuilder {
     t.sram_alloc_bytes = alloc_bytes;
     t.sram_free_bytes = free_bytes;
     return graph_.add(std::move(t));
+  }
+
+  /// Grows the graph's storage once, to an upper bound of the tasks a
+  /// build adds, instead of doubling it as tasks arrive.
+  void reserve_tasks(std::size_t tasks) { graph_.tasks().reserve(tasks); }
+
+  std::size_t batch_size() const { return static_cast<std::size_t>(batch_); }
+
+  /// Compute chunks per tile pass: at most one per PE group.
+  std::size_t max_chunks() const {
+    return static_cast<std::size_t>(pe_groups_);
   }
 
   // ---- stream sizing -----------------------------------------------------
@@ -282,6 +305,10 @@ class GroupBuilder {
     const auto m_passes = pass_sizes(layer.out_channels(), plan.tile.tm);
     const Index kk = eff_kernel_size(layer) * eff_kernel_size(layer);
     const Index mpp = layer.in_c * kk;  // all channels in one pass
+    // Per map pass a weight load and a barrier; per tile a load, the
+    // chunks, a barrier and a store (plus its compress).
+    reserve_tasks(m_passes.size() *
+                  (2 + grid.size() * batch_size() * (max_chunks() + 4)));
 
     std::int64_t max_w_coded = 0;
     std::int64_t max_tile_bytes = 0;
@@ -292,7 +319,6 @@ class GroupBuilder {
     TaskId prev_prev_w_bar = sim::kInvalidTask;
     TaskId prev_w_bar = sim::kInvalidTask;
 
-    Index m0 = 0;
     for (std::size_t mi = 0; mi < m_passes.size(); ++mi) {
       const Index tm_eff = m_passes[mi];
       const std::int64_t w_coded =
@@ -328,13 +354,14 @@ class GroupBuilder {
             add_load(label("if_load", idx, mi, ti), if_coded,
                      std::move(load_deps), if_coded + partial);
 
-        const auto chunk_ids = emit_tile_computes(
+        auto chunk_ids = emit_tile_computes(
             idx, geo, tm_eff, mpp, if_coded, w_coded, w_raw, if_elems,
-            {if_load}, /*accumulate=*/false, label("comp", idx, mi, ti));
+            {if_load}, label("comp", idx, mi, ti));
 
         const TaskId tile_bar =
             add_barrier(label("tile_bar", idx, mi, ti), chunk_ids, if_coded);
-        emit_store_path(idx, tm_eff * geo.out_positions(), chunk_ids, partial,
+        emit_store_path(idx, tm_eff * geo.out_positions(),
+                        std::move(chunk_ids), partial,
                         label("store", idx, mi, ti), &pass_barrier_deps);
         pass_barrier_deps.push_back(tile_bar);
 
@@ -345,9 +372,7 @@ class GroupBuilder {
                                           std::move(pass_barrier_deps), w_coded);
       prev_prev_w_bar = prev_w_bar;
       prev_w_bar = pass_bar;
-      m0 += tm_eff;
     }
-    (void)m0;
     footprint_ = 2 * max_w_coded + 3 * max_tile_bytes + store_buffer_bound_;
   }
 
@@ -379,6 +404,11 @@ class GroupBuilder {
                          ? batch_
                          : std::min<Index>(plan.batch_tile, batch_);
     const auto sub_batches = pass_sizes(batch_, bc);
+    // Per tile a load and a barrier; per map pass a store (plus its
+    // compress); per channel pass a weight load, the chunks and a barrier.
+    reserve_tasks(sub_batches.size() * grid.size() *
+                  (2 + m_passes.size() *
+                           (2 + c_passes.size() * (max_chunks() + 2))));
 
     std::size_t tile_seq = 0;
     for (Index bb : sub_batches) {
@@ -433,22 +463,22 @@ class GroupBuilder {
                         : 0;
             std::vector<TaskId> deps = {if_load, w_load};
             deps.insert(deps.end(), prev_chunks.begin(), prev_chunks.end());
-            const auto chunks = emit_tile_computes(
+            auto chunks = emit_tile_computes(
                 idx, geo, tm_eff, tc_eff * kk,
                 if_coded / static_cast<Index>(c_passes.size()), w_coded,
                 w_raw, if_elems / static_cast<Index>(c_passes.size()), deps,
-                /*accumulate=*/false, label("comp", idx, tile_seq, mi, ci),
-                acc_rw, /*pos_scale=*/bb);
+                label("comp", idx, tile_seq, mi, ci), acc_rw,
+                /*pos_scale=*/bb);
             const TaskId w_bar = add_barrier(
                 label("w_bar", idx, tile_seq, mi, ci), chunks, w_coded);
             prev_prev_w_bar = prev_w_bar;
             prev_w_bar = w_bar;
-            prev_chunks = chunks;
             all_chunks.insert(all_chunks.end(), chunks.begin(), chunks.end());
+            prev_chunks = std::move(chunks);
           }
-          emit_store_path(idx, bb * tm_eff * geo.out_positions(), prev_chunks,
-                          partial, label("store", idx, tile_seq, mi),
-                          &tile_bar_deps);
+          emit_store_path(idx, bb * tm_eff * geo.out_positions(),
+                          std::move(prev_chunks), partial,
+                          label("store", idx, tile_seq, mi), &tile_bar_deps);
           tile_bar_deps.insert(tile_bar_deps.end(), all_chunks.begin(),
                                all_chunks.end());
         }
@@ -475,6 +505,10 @@ class GroupBuilder {
     const auto grid = tile_grid(layer, plan.tile.th, plan.tile.tw);
     const auto c_passes = pass_sizes(layer.out_channels(), plan.tile.tm);
     const Index kk = layer.kernel * layer.kernel;
+    // Per channel pass a weight load and a barrier; per tile a load, the
+    // chunks, a store (plus its compress) and a barrier.
+    reserve_tasks(c_passes.size() *
+                  (2 + grid.size() * batch_size() * (max_chunks() + 4)));
 
     std::int64_t max_tile_bytes = 0;
     std::int64_t max_w_coded = 0;
@@ -519,14 +553,13 @@ class GroupBuilder {
                                         if_coded, std::move(load_deps),
                                         if_coded + out_bytes);
 
-        const auto chunks = emit_tile_computes(
+        auto chunks = emit_tile_computes(
             idx, geo, tm_eff, kk, if_coded, w_coded, w_raw,
-            if_elems, {if_load}, /*accumulate=*/false,
-            label("comp", idx, ci, ti));
+            if_elems, {if_load}, label("comp", idx, ci, ti));
 
         std::vector<TaskId> bar_deps = chunks;
-        emit_store_path(idx, tm_eff * geo.out_positions(), chunks, out_bytes,
-                        label("store", idx, ci, ti), &bar_deps);
+        emit_store_path(idx, tm_eff * geo.out_positions(), std::move(chunks),
+                        out_bytes, label("store", idx, ci, ti), &bar_deps);
         const TaskId bar = add_barrier(label("tile_bar", idx, ci, ti),
                                        std::move(bar_deps), if_coded);
         pass_bar_deps.push_back(bar);
@@ -579,8 +612,11 @@ class GroupBuilder {
     TaskId prev_bar = sim::kInvalidTask;
     std::vector<TaskId> final_bar_deps;
 
-    const std::size_t tile_iters =
-        grid.size() * static_cast<std::size_t>(batch_);
+    const std::size_t tile_iters = grid.size() * batch_size();
+    // Per tile a load, every member's chunks, a store (plus its compress)
+    // and a barrier; the weight loads and the closing barrier once.
+    reserve_tasks(weight_loads.size() + 1 +
+                  tile_iters * (4 + group_.size() * max_chunks()));
     for (std::size_t ti = 0; ti < tile_iters; ++ti) {
       const TileGeometry& tail_geo = grid[ti % grid.size()];
       const auto pyramid = fused_pyramid(net_, group_.first, group_.last,
@@ -624,16 +660,15 @@ class GroupBuilder {
         const std::int64_t in_stream_bytes = is_head ? head_if_coded : in_raw;
         const Index in_elems = layer.in_c * geo.in_positions();
 
-        const auto chunks = emit_fused_stage_computes(
+        prev_stage = emit_fused_stage_computes(
             l, geo, mpp, is_head, in_stream_bytes, in_elems,
             w_coded_per_layer[l], prev_stage, label("comp", l, ti));
-        prev_stage = chunks;
       }
 
       std::vector<TaskId> bar_deps = prev_stage;
       emit_store_path(group_.last,
                       tail.out_channels() * tail_geo.out_positions(),
-                      prev_stage, /*free_raw_bytes=*/0,
+                      std::move(prev_stage), /*free_raw_bytes=*/0,
                       label("store", group_.last, ti), &bar_deps);
       const TaskId bar = add_barrier(label("tile_bar", group_.last, ti),
                                      std::move(bar_deps), tile_bytes);
@@ -656,10 +691,8 @@ class GroupBuilder {
   std::vector<TaskId> emit_tile_computes(
       std::size_t idx, const TileGeometry& geo, Index tm_eff, Index mpp,
       std::int64_t if_stream_bytes, std::int64_t w_coded, std::int64_t w_raw,
-      Index if_raw_elems, const std::vector<TaskId>& deps, bool accumulate,
-      const std::string& base_label, std::int64_t extra_sram_rw = 0,
-      Index pos_scale = 1) {
-    (void)accumulate;
+      Index if_raw_elems, const std::vector<TaskId>& deps, TaskLabel base,
+      std::int64_t extra_sram_rw = 0, Index pos_scale = 1) {
     const LayerPlan& plan = plan_.layers[idx];
     const auto map_parts = partition(tm_eff, plan.inter_groups);
     const auto pos_parts =
@@ -671,15 +704,15 @@ class GroupBuilder {
       for (Index pp : pos_parts) weights.push_back(mp * pp);
     }
     const std::int64_t if_raw_bytes = if_raw_elems * kValueBytes;
-    const auto if_shares = distribute(if_stream_bytes, weights);
-    const auto w_shares = distribute(w_coded, weights);
-    const auto if_decode_shares = distribute(
+    const Distribution if_shares(if_stream_bytes, weights);
+    const Distribution w_shares(w_coded, weights);
+    const Distribution if_decode_shares(
         eff_ifmap_codec(idx) != compress::CodecKind::None ? if_raw_bytes : 0,
         weights);
-    const auto w_decode_shares = distribute(
+    const Distribution w_decode_shares(
         eff_kernel_codec(idx) != compress::CodecKind::None ? w_raw : 0,
         weights);
-    const auto extra_shares = distribute(extra_sram_rw, weights);
+    const Distribution extra_shares(extra_sram_rw, weights);
 
     std::vector<TaskId> chunk_ids;
     std::size_t chunk = 0;
@@ -698,9 +731,9 @@ class GroupBuilder {
         spec.sram_write_bytes =
             spec.positions * kValueBytes + extra_shares[chunk] / 2 +
             extra_shares[chunk] % 2;
-        std::ostringstream os;
-        os << base_label << ".g" << g << "s" << s;
-        chunk_ids.push_back(add_compute(os.str(), spec, deps));
+        base.chunk_group = static_cast<std::int32_t>(g);
+        base.chunk_slice = static_cast<std::int32_t>(s);
+        chunk_ids.push_back(add_compute(base, spec, deps));
       }
     }
     return chunk_ids;
@@ -712,7 +745,7 @@ class GroupBuilder {
   std::vector<TaskId> emit_fused_stage_computes(
       std::size_t idx, const TileGeometry& geo, Index mpp, bool is_head,
       std::int64_t in_stream_bytes, Index in_elems, std::int64_t w_coded,
-      const std::vector<TaskId>& deps, const std::string& base_label) {
+      const std::vector<TaskId>& deps, TaskLabel base) {
     const nn::LayerSpec& layer = net_.layers[idx];
     const LayerPlan& plan = plan_.layers[idx];
     const Index tm_eff = layer.out_channels();
@@ -723,8 +756,8 @@ class GroupBuilder {
     for (Index mp : map_parts) {
       for (Index pp : pos_parts) weights.push_back(mp * pp);
     }
-    const auto in_shares = distribute(in_stream_bytes, weights);
-    const auto w_shares = distribute(w_coded, weights);
+    const Distribution in_shares(in_stream_bytes, weights);
+    const Distribution w_shares(w_coded, weights);
     std::int64_t if_decode_total = 0;
     std::int64_t w_decode_total = 0;
     if (is_head && eff_ifmap_codec(idx) != compress::CodecKind::None) {
@@ -733,8 +766,8 @@ class GroupBuilder {
     if (w_coded > 0 && eff_kernel_codec(idx) != compress::CodecKind::None) {
       w_decode_total = layer.weight_elems() * kValueBytes;
     }
-    const auto if_decode_shares = distribute(if_decode_total, weights);
-    const auto w_decode_shares = distribute(w_decode_total, weights);
+    const Distribution if_decode_shares(if_decode_total, weights);
+    const Distribution w_decode_shares(w_decode_total, weights);
 
     std::vector<TaskId> chunk_ids;
     std::size_t chunk = 0;
@@ -752,9 +785,9 @@ class GroupBuilder {
         spec.kernel_decode_raw = w_decode_shares[chunk];
         spec.sram_read_bytes = in_shares[chunk] + w_shares[chunk];
         spec.sram_write_bytes = spec.positions * kValueBytes;
-        std::ostringstream os;
-        os << base_label << ".g" << g << "s" << s;
-        chunk_ids.push_back(add_compute(os.str(), spec, deps));
+        base.chunk_group = static_cast<std::int32_t>(g);
+        base.chunk_slice = static_cast<std::int32_t>(s);
+        chunk_ids.push_back(add_compute(base, spec, deps));
       }
     }
     return chunk_ids;
@@ -763,36 +796,41 @@ class GroupBuilder {
   /// Emits the (optional compress +) store of a finished output tile slice.
   /// `free_raw_bytes` is released when the slice has left the scratchpad.
   void emit_store_path(std::size_t idx, Index out_elems,
-                       const std::vector<TaskId>& producer_chunks,
-                       std::int64_t free_raw_bytes, const std::string& lbl,
+                       std::vector<TaskId> producer_chunks,
+                       std::int64_t free_raw_bytes, TaskLabel lbl,
                        std::vector<TaskId>* completion_deps) {
     const std::int64_t raw_bytes = out_elems * kValueBytes;
     const std::int64_t coded = ofmap_coded(idx, out_elems);
     TaskId store;
     if (eff_ofmap_codec(idx) != compress::CodecKind::None) {
-      const TaskId compress = add_compress(lbl + ".pack", eff_ofmap_codec(idx),
-                                           raw_bytes, coded, producer_chunks);
+      TaskLabel packed = lbl;
+      packed.pack = true;
+      const TaskId compress =
+          add_compress(packed, eff_ofmap_codec(idx), raw_bytes, coded,
+                       std::move(producer_chunks));
       store = add_store(lbl, coded, {compress}, free_raw_bytes + coded);
       // Up to two compress tasks (one per shared engine) can run while a
       // third coded buffer drains on the DRAM bus.
       store_buffer_bound_ = std::max(store_buffer_bound_, 4 * coded);
     } else {
-      store = add_store(lbl, coded, producer_chunks, free_raw_bytes);
+      store = add_store(lbl, coded, std::move(producer_chunks), free_raw_bytes);
     }
     completion_deps->push_back(store);
   }
 
-  static std::string label(const char* base, std::size_t a,
-                           std::size_t b = static_cast<std::size_t>(-1),
-                           std::size_t c = static_cast<std::size_t>(-1),
-                           std::size_t d = static_cast<std::size_t>(-1)) {
-    std::ostringstream os;
-    os << base << ".L" << a;
-    if (b != static_cast<std::size_t>(-1)) os << "." << b;
-    if (c != static_cast<std::size_t>(-1)) os << "." << c;
-    if (d != static_cast<std::size_t>(-1)) os << "." << d;
-    return os.str();
+  /// "<name>.L<layer>[.<i0>[.<i1>[.<i2>]]]", rendered only when read.
+  static TaskLabel label(const char* name, std::size_t layer,
+                         std::size_t i0 = kNoIndex, std::size_t i1 = kNoIndex,
+                         std::size_t i2 = kNoIndex) {
+    const auto index = [](std::size_t i) {
+      return i == kNoIndex ? TaskLabel::kUnset : static_cast<std::int32_t>(i);
+    };
+    TaskLabel out(name);
+    out.layer = static_cast<std::int32_t>(layer);
+    out.index = {index(i0), index(i1), index(i2)};
+    return out;
   }
+  static constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
 
   const nn::Network& net_;
   const NetworkPlan& plan_;

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <limits>
 #include <map>
-#include <unordered_map>
 
 #include "util/assert.hpp"
 
@@ -30,22 +29,17 @@ constexpr TaskKind kAllKinds[] = {
 // so the analysis never assumes id order.
 std::vector<TaskId> topo_order(const TaskGraph& graph) {
   const std::size_t n = graph.size();
+  const sim::Dependents dependents = graph.dependents();
   std::vector<int> indegree(n, 0);
-  std::vector<std::vector<TaskId>> dependents(n);
-  for (const Task& t : graph.tasks()) {
-    indegree[static_cast<std::size_t>(t.id)] =
-        static_cast<int>(t.deps.size());
-    for (TaskId dep : t.deps) {
-      dependents[static_cast<std::size_t>(dep)].push_back(t.id);
-    }
-  }
   std::vector<TaskId> order;
   order.reserve(n);
   for (const Task& t : graph.tasks()) {
-    if (indegree[static_cast<std::size_t>(t.id)] == 0) order.push_back(t.id);
+    indegree[static_cast<std::size_t>(t.id)] =
+        static_cast<int>(t.deps.size());
+    if (t.deps.empty()) order.push_back(t.id);
   }
   for (std::size_t head = 0; head < order.size(); ++head) {
-    for (TaskId next : dependents[static_cast<std::size_t>(order[head])]) {
+    for (TaskId next : dependents.of(order[head])) {
       if (--indegree[static_cast<std::size_t>(next)] == 0) {
         order.push_back(next);
       }
@@ -184,9 +178,12 @@ CritPathReport analyze_critical_path(const sim::TaskGraph& graph,
   // restricted to nonzero-duration predecessors so simulated time
   // strictly decreases; zero-duration fallbacks follow dependence edges
   // (a DAG), so the walk terminates.
-  std::unordered_map<Cycle, std::vector<TaskId>> by_finish;
+  // (finish, id) of every task, sorted: the tasks releasing capacity at an
+  // instant form one contiguous run, in id order.
+  std::vector<std::pair<Cycle, TaskId>> by_finish;
   by_finish.reserve(n);
-  for (const Task& t : graph.tasks()) by_finish[t.finish].push_back(t.id);
+  for (const Task& t : graph.tasks()) by_finish.emplace_back(t.finish, t.id);
+  std::sort(by_finish.begin(), by_finish.end());
 
   TaskId tail_id = 0;
   for (const Task& t : graph.tasks()) {
@@ -229,21 +226,21 @@ CritPathReport analyze_critical_path(const sim::TaskGraph& graph,
       // and terminating: resource-sharing releasers before arbitrary
       // ones, nonzero durations (strictly earlier start) before
       // zero-duration releasers (same instant, visited-guarded).
-      const auto it = by_finish.find(t.start);
-      if (it != by_finish.end()) {
-        int best_rank = 0;
-        for (TaskId candidate : it->second) {
-          const Task& c = graph.task(candidate);
-          if (candidate == cur ||
-              visited[static_cast<std::size_t>(candidate)] != 0) {
-            continue;
-          }
-          const int rank = (c.duration > 0 ? 2 : 0) +
-                           (shares_resource(t, c) ? 2 : 1);
-          if (rank > best_rank) {
-            best_rank = rank;
-            pred = candidate;
-          }
+      int best_rank = 0;
+      for (auto it = std::lower_bound(by_finish.begin(), by_finish.end(),
+                                      std::pair{t.start, TaskId{0}});
+           it != by_finish.end() && it->first == t.start; ++it) {
+        const TaskId candidate = it->second;
+        const Task& c = graph.task(candidate);
+        if (candidate == cur ||
+            visited[static_cast<std::size_t>(candidate)] != 0) {
+          continue;
+        }
+        const int rank = (c.duration > 0 ? 2 : 0) +
+                         (shares_resource(t, c) ? 2 : 1);
+        if (rank > best_rank) {
+          best_rank = rank;
+          pred = candidate;
         }
       }
       edge = CritEdge::Queue;

@@ -1,8 +1,8 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <map>
 #include <queue>
-#include <set>
 
 namespace mocha::sim {
 
@@ -27,7 +27,7 @@ Engine::Engine(std::vector<ResourceSpec> resources)
 }
 
 RunResult Engine::run(TaskGraph& graph, bool detailed) const {
-  graph.validate();
+  const Dependents dependents = graph.validate();
   for (const Task& t : graph.tasks()) {
     for (ResourceId r : t.resources) {
       MOCHA_CHECK(static_cast<std::size_t>(r) < resources_.size(),
@@ -40,20 +40,41 @@ RunResult Engine::run(TaskGraph& graph, bool detailed) const {
   result.resource_busy_cycles.assign(resources_.size(), 0);
   if (graph.empty()) return result;
 
-  std::vector<std::vector<TaskId>> dependents(graph.size());
-  std::vector<int> waiting(graph.size(), 0);
-  for (const Task& t : graph.tasks()) {
+  std::vector<Task>& tasks = graph.tasks();
+  std::vector<int> waiting(tasks.size(), 0);
+  for (const Task& t : tasks) {
     waiting[static_cast<std::size_t>(t.id)] = static_cast<int>(t.deps.size());
-    for (TaskId dep : t.deps) {
-      dependents[static_cast<std::size_t>(dep)].push_back(t.id);
-    }
   }
 
-  // Single ready set ordered by task id: the dispatcher greedily starts, in
-  // id order, every ready task whose full resource set is free. Tasks hold
-  // all their resources for their whole duration (acquired atomically, so
-  // no hold-and-wait and hence no resource deadlock).
-  std::set<TaskId> ready;
+  // The dispatcher greedily starts, in id order, every ready task whose
+  // full resource set is free. Tasks hold all their resources for their
+  // whole duration (acquired atomically, so no hold-and-wait and hence no
+  // resource deadlock).
+  //
+  // Ready tasks wait in one min-heap per distinct resource set: tasks
+  // bound to the same set can start together or not at all, so the id
+  // order scan becomes a merge over the heaps' heads, and a heap whose
+  // head cannot start is skipped whole instead of task by task.
+  std::vector<int> bucket_of(tasks.size(), 0);
+  int bucket_count = 0;
+  {
+    std::vector<int> single(resources_.size(), -1);
+    std::map<std::vector<ResourceId>, int> multi;
+    for (const Task& t : tasks) {
+      int& bucket =
+          t.resources.size() == 1
+              ? single[static_cast<std::size_t>(t.resources[0])]
+              : multi.try_emplace(t.resources, -1).first->second;
+      if (bucket < 0) bucket = bucket_count++;
+      bucket_of[static_cast<std::size_t>(t.id)] = bucket;
+    }
+  }
+  using ReadyHeap =
+      std::priority_queue<TaskId, std::vector<TaskId>, std::greater<>>;
+  std::vector<ReadyHeap> ready(static_cast<std::size_t>(bucket_count));
+  std::vector<int> open;  // buckets still scanned by the current dispatch
+  open.reserve(ready.size());
+
   std::vector<int> free_units;
   free_units.reserve(resources_.size());
   // Which unit of each resource is occupied; a task takes the lowest free
@@ -69,8 +90,12 @@ RunResult Engine::run(TaskGraph& graph, bool detailed) const {
     }
   }
 
-  for (const Task& t : graph.tasks()) {
-    if (waiting[static_cast<std::size_t>(t.id)] == 0) ready.insert(t.id);
+  auto make_ready = [&](TaskId id) {
+    ready[static_cast<std::size_t>(bucket_of[static_cast<std::size_t>(id)])]
+        .push(id);
+  };
+  for (const Task& t : tasks) {
+    if (waiting[static_cast<std::size_t>(t.id)] == 0) make_ready(t.id);
   }
 
   using Event = std::pair<Cycle, TaskId>;
@@ -87,43 +112,60 @@ RunResult Engine::run(TaskGraph& graph, bool detailed) const {
                        });
   };
 
+  auto start = [&](Task& t) {
+    if (detailed) t.units.assign(t.resources.size(), 0);
+    for (std::size_t ri = 0; ri < t.resources.size(); ++ri) {
+      const auto r = static_cast<std::size_t>(t.resources[ri]);
+      --free_units[r];
+      if (!detailed) continue;
+      std::vector<char>& busy = unit_busy[r];
+      for (std::size_t u = 0; u < busy.size(); ++u) {
+        if (busy[u] == 0) {
+          busy[u] = 1;
+          t.units[ri] = static_cast<int>(u);
+          break;
+        }
+      }
+    }
+    t.start = now;
+    t.finish = now + t.duration;
+    sram_now += t.sram_alloc_bytes;
+    result.peak_sram_bytes = std::max(result.peak_sram_bytes, sram_now);
+    events.emplace(t.finish, t.id);
+  };
+
+  // One id-order pass suffices: within a dispatch free units only shrink
+  // and no task becomes ready, so a task that cannot start stays blocked —
+  // and so does every later task of its bucket.
   auto dispatch = [&]() {
-    bool started = true;
-    while (started) {
-      started = false;
-      for (auto it = ready.begin(); it != ready.end();) {
-        Task& t = graph.task(*it);
-        if (!can_start(t)) {
-          ++it;
-          continue;
+    open.clear();
+    for (std::size_t b = 0; b < ready.size(); ++b) {
+      if (!ready[b].empty()) open.push_back(static_cast<int>(b));
+    }
+    while (!open.empty()) {
+      std::size_t at = 0;
+      for (std::size_t i = 1; i < open.size(); ++i) {
+        if (ready[static_cast<std::size_t>(open[i])].top() <
+            ready[static_cast<std::size_t>(open[at])].top()) {
+          at = i;
         }
-        if (detailed) t.units.assign(t.resources.size(), 0);
-        for (std::size_t ri = 0; ri < t.resources.size(); ++ri) {
-          const auto r = static_cast<std::size_t>(t.resources[ri]);
-          --free_units[r];
-          if (!detailed) continue;
-          std::vector<char>& busy = unit_busy[r];
-          for (std::size_t u = 0; u < busy.size(); ++u) {
-            if (busy[u] == 0) {
-              busy[u] = 1;
-              t.units[ri] = static_cast<int>(u);
-              break;
-            }
-          }
-        }
-        t.start = now;
-        t.finish = now + t.duration;
-        sram_now += t.sram_alloc_bytes;
-        result.peak_sram_bytes = std::max(result.peak_sram_bytes, sram_now);
-        events.emplace(t.finish, t.id);
-        it = ready.erase(it);
-        started = true;
+      }
+      ReadyHeap& heap = ready[static_cast<std::size_t>(open[at])];
+      Task& t = tasks[static_cast<std::size_t>(heap.top())];
+      const bool started = can_start(t);
+      if (started) {
+        start(t);
+        heap.pop();
+      }
+      if (!started || heap.empty()) {
+        open[at] = open.back();
+        open.pop_back();
       }
     }
   };
 
   auto complete = [&](TaskId id) {
-    Task& t = graph.task(id);
+    Task& t = tasks[static_cast<std::size_t>(id)];
     for (std::size_t ri = 0; ri < t.resources.size(); ++ri) {
       const auto r = static_cast<std::size_t>(t.resources[ri]);
       ++free_units[r];
@@ -136,8 +178,8 @@ RunResult Engine::run(TaskGraph& graph, bool detailed) const {
     result.totals += t.actions;
     result.kind_cycles[t.kind] += t.duration;
     ++completed;
-    for (TaskId next : dependents[static_cast<std::size_t>(id)]) {
-      if (--waiting[static_cast<std::size_t>(next)] == 0) ready.insert(next);
+    for (TaskId next : dependents.of(id)) {
+      if (--waiting[static_cast<std::size_t>(next)] == 0) make_ready(next);
     }
   };
 

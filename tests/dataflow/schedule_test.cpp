@@ -277,5 +277,82 @@ TEST(Schedule, FusedMembersMustShareParallelism) {
   EXPECT_THROW(s.build(0, 1), util::CheckFailure);
 }
 
+// ---- golden labels ---------------------------------------------------------
+//
+// Task labels are what the trace, the `.dot` export and the critical-path
+// report print. These sequences were rendered by the string-building
+// builder; the structured labels must render them byte for byte.
+
+std::vector<std::string> rendered_labels(const BuiltSchedule& built) {
+  std::vector<std::string> out;
+  for (const sim::Task& t : built.graph.tasks()) out.push_back(t.label.str());
+  return out;
+}
+
+TEST(ScheduleLabels, WeightStationaryConvGroup) {
+  Harness s(nn::make_single_conv(4, 16, 16, 8, 3, 1, 1));
+  s.plan.layers[0].tile = {16, 8, 4, 4};  // 2 spatial tiles, 2 map passes
+  s.plan.layers[0].order = LoopOrder::WeightStationary;
+  s.plan.layers[0].inter_groups = 2;
+  s.plan.layers[0].intra_groups = 2;
+  const std::vector<std::string> expected = {
+      "w_load.L0.0", "if_load.L0.0.0", "comp.L0.0.0.g0s0", "comp.L0.0.0.g0s1",
+      "comp.L0.0.0.g1s0", "comp.L0.0.0.g1s1", "tile_bar.L0.0.0",
+      "store.L0.0.0", "if_load.L0.0.1", "comp.L0.0.1.g0s0", "comp.L0.0.1.g0s1",
+      "comp.L0.0.1.g1s0", "comp.L0.0.1.g1s1", "tile_bar.L0.0.1",
+      "store.L0.0.1", "pass_bar.L0.0", "w_load.L0.1", "if_load.L0.1.0",
+      "comp.L0.1.0.g0s0", "comp.L0.1.0.g0s1", "comp.L0.1.0.g1s0",
+      "comp.L0.1.0.g1s1", "tile_bar.L0.1.0", "store.L0.1.0", "if_load.L0.1.1",
+      "comp.L0.1.1.g0s0", "comp.L0.1.1.g0s1", "comp.L0.1.1.g1s0",
+      "comp.L0.1.1.g1s1", "tile_bar.L0.1.1", "store.L0.1.1", "pass_bar.L0.1"};
+  EXPECT_EQ(rendered_labels(s.build(0, 0)), expected);
+}
+
+TEST(ScheduleLabels, InputStationaryChannelPasses) {
+  Harness s(nn::make_single_conv(4, 16, 16, 8, 3, 1, 1));
+  s.plan.layers[0].tile = {16, 16, 2, 4};  // 2 map passes x 2 channel passes
+  s.plan.layers[0].order = LoopOrder::InputStationary;
+  s.plan.layers[0].intra_groups = 2;
+  const std::vector<std::string> expected = {
+      "if_load.L0.0", "w_load.L0.0.0.0", "comp.L0.0.0.0.g0s0",
+      "comp.L0.0.0.0.g0s1", "w_bar.L0.0.0.0", "w_load.L0.0.0.1",
+      "comp.L0.0.0.1.g0s0", "comp.L0.0.0.1.g0s1", "w_bar.L0.0.0.1",
+      "store.L0.0.0", "w_load.L0.0.1.0", "comp.L0.0.1.0.g0s0",
+      "comp.L0.0.1.0.g0s1", "w_bar.L0.0.1.0", "w_load.L0.0.1.1",
+      "comp.L0.0.1.1.g0s0", "comp.L0.0.1.1.g0s1", "w_bar.L0.0.1.1",
+      "store.L0.0.1", "tile_bar.L0.0"};
+  EXPECT_EQ(rendered_labels(s.build(0, 0)), expected);
+}
+
+TEST(ScheduleLabels, DepthwiseGroup) {
+  nn::Network net;
+  net.name = "convdw";
+  net.layers = {nn::conv_layer("c", 4, 16, 16, 8, 3, 1, 1),
+                nn::depthwise_layer("dw", 8, 16, 16, 3, 1, 1)};
+  net.validate();
+  Harness s(std::move(net));
+  s.plan.layers[1].tile = {8, 16, 8, 4};  // 2 spatial tiles, 2 channel passes
+  const std::vector<std::string> expected = {
+      "w_load.L1.0", "if_load.L1.0.0", "comp.L1.0.0.g0s0", "store.L1.0.0",
+      "tile_bar.L1.0.0", "if_load.L1.0.1", "comp.L1.0.1.g0s0", "store.L1.0.1",
+      "tile_bar.L1.0.1", "pass_bar.L1.0", "w_load.L1.1", "if_load.L1.1.0",
+      "comp.L1.1.0.g0s0", "store.L1.1.0", "tile_bar.L1.1.0", "if_load.L1.1.1",
+      "comp.L1.1.1.g0s0", "store.L1.1.1", "tile_bar.L1.1.1", "pass_bar.L1.1"};
+  EXPECT_EQ(rendered_labels(s.build(1, 1)), expected);
+}
+
+TEST(ScheduleLabels, FusedGroupWithCompressedOfmap) {
+  Harness s(nn::make_synthetic("trio", 16, 16, {8, 8, 8}, 3, false));
+  s.plan.layers[1].fuse_with_next = true;
+  s.plan.layers[2].tile.th = 8;  // 2 tail tiles
+  s.plan.layers[2].ofmap_codec = CodecKind::Zrle;
+  const std::vector<std::string> expected = {
+      "w_load.L1", "w_load.L2", "if_load.L1.0", "comp.L1.0.g0s0",
+      "comp.L2.0.g0s0", "store.L2.0.pack", "store.L2.0", "tile_bar.L2.0",
+      "if_load.L1.1", "comp.L1.1.g0s0", "comp.L2.1.g0s0", "store.L2.1.pack",
+      "store.L2.1", "tile_bar.L2.1", "group_end"};
+  EXPECT_EQ(rendered_labels(s.build(1, 2)), expected);
+}
+
 }  // namespace
 }  // namespace mocha::dataflow

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
 #include "util/rng.hpp"
 
 namespace mocha::sim {
@@ -248,6 +251,142 @@ TEST_P(EngineBounds, MakespanWithinBounds) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineBounds, ::testing::Range(0, 10));
+
+/// The engine's dispatch rule in its plainest form: after every completion
+/// instant, scan all ready tasks in id order and start each whose
+/// resources all have a free unit, on the lowest free unit of each.
+struct ReferenceRun {
+  std::vector<Cycle> start, finish;
+  std::vector<std::vector<int>> units;
+  Cycle makespan = 0;
+  std::int64_t peak_sram_bytes = 0;
+};
+
+ReferenceRun reference_run(const TaskGraph& graph,
+                           const std::vector<ResourceSpec>& specs) {
+  const std::size_t n = graph.size();
+  ReferenceRun ref;
+  ref.start.assign(n, 0);
+  ref.finish.assign(n, 0);
+  ref.units.assign(n, {});
+  std::vector<int> waiting(n, 0);
+  std::vector<std::vector<TaskId>> dependents(n);
+  std::set<TaskId> ready;
+  for (const Task& t : graph.tasks()) {
+    waiting[static_cast<std::size_t>(t.id)] = static_cast<int>(t.deps.size());
+    for (TaskId dep : t.deps) {
+      dependents[static_cast<std::size_t>(dep)].push_back(t.id);
+    }
+    if (t.deps.empty()) ready.insert(t.id);
+  }
+  std::vector<std::vector<char>> busy;
+  for (const ResourceSpec& r : specs) {
+    busy.emplace_back(static_cast<std::size_t>(r.capacity), 0);
+  }
+  std::multimap<Cycle, TaskId> events;
+  Cycle now = 0;
+  std::int64_t sram = 0;
+  const auto dispatch = [&] {
+    for (auto it = ready.begin(); it != ready.end();) {
+      const Task& t = graph.task(*it);
+      const bool free = std::all_of(
+          t.resources.begin(), t.resources.end(), [&](ResourceId r) {
+            const auto& units = busy[static_cast<std::size_t>(r)];
+            return std::find(units.begin(), units.end(), 0) != units.end();
+          });
+      if (!free) {
+        ++it;
+        continue;
+      }
+      const auto id = static_cast<std::size_t>(t.id);
+      for (ResourceId r : t.resources) {
+        auto& units = busy[static_cast<std::size_t>(r)];
+        const auto unit = std::find(units.begin(), units.end(), 0);
+        *unit = 1;
+        ref.units[id].push_back(static_cast<int>(unit - units.begin()));
+      }
+      ref.start[id] = now;
+      ref.finish[id] = now + t.duration;
+      sram += t.sram_alloc_bytes;
+      ref.peak_sram_bytes = std::max(ref.peak_sram_bytes, sram);
+      events.emplace(ref.finish[id], t.id);
+      it = ready.erase(it);
+    }
+  };
+  dispatch();
+  while (!events.empty()) {
+    now = events.begin()->first;
+    while (!events.empty() && events.begin()->first == now) {
+      const Task& t = graph.task(events.begin()->second);
+      events.erase(events.begin());
+      const auto id = static_cast<std::size_t>(t.id);
+      for (std::size_t ri = 0; ri < t.resources.size(); ++ri) {
+        busy[static_cast<std::size_t>(t.resources[ri])]
+            [static_cast<std::size_t>(ref.units[id][ri])] = 0;
+      }
+      sram -= t.sram_free_bytes;
+      for (TaskId next : dependents[id]) {
+        if (--waiting[static_cast<std::size_t>(next)] == 0) ready.insert(next);
+      }
+    }
+    dispatch();
+  }
+  ref.makespan = now;
+  return ref;
+}
+
+/// Random DAG whose topological order is a shuffle of the id order, so
+/// deps point both ways; tasks hold one or two of three resources.
+TaskGraph shuffled_dag(std::uint64_t seed, TaskId tasks) {
+  util::Rng rng(seed);
+  // rank[i]: task i's position in the topological order.
+  std::vector<std::int64_t> rank;
+  for (TaskId i = 0; i < tasks; ++i) rank.push_back(i);
+  for (std::size_t i = rank.size() - 1; i > 0; --i) {
+    std::swap(rank[i], rank[static_cast<std::size_t>(rng.uniform_int(
+                           0, static_cast<std::int64_t>(i)))]);
+  }
+  TaskGraph graph;
+  for (TaskId i = 0; i < tasks; ++i) {
+    Task t = make_task({static_cast<ResourceId>(rng.uniform_int(0, 2))},
+                       static_cast<Cycle>(rng.uniform_int(0, 9)));
+    if (rng.uniform_int(0, 3) == 0) {
+      const auto extra = static_cast<ResourceId>(rng.uniform_int(0, 2));
+      if (extra != t.resources[0]) t.resources.push_back(extra);
+    }
+    t.sram_alloc_bytes = t.sram_free_bytes = rng.uniform_int(0, 100);
+    graph.add(std::move(t));
+  }
+  for (TaskId i = 0; i < tasks; ++i) {
+    for (std::int64_t d = rng.uniform_int(0, 2); d > 0; --d) {
+      const auto j = static_cast<TaskId>(rng.uniform_int(0, tasks - 1));
+      if (rank[static_cast<std::size_t>(j)] <
+          rank[static_cast<std::size_t>(i)]) {
+        graph.add_dep(j, i);
+      }
+    }
+  }
+  return graph;
+}
+
+class EngineReference : public ::testing::TestWithParam<int> {};
+
+TEST_P(EngineReference, MatchesPlainListScheduler) {
+  const std::vector<ResourceSpec> specs = {{"a", 2}, {"b", 1}, {"c", 3}};
+  TaskGraph graph = shuffled_dag(static_cast<std::uint64_t>(GetParam()), 300);
+  const ReferenceRun ref = reference_run(graph, specs);
+  const RunResult result = Engine(specs).run(graph, /*detailed=*/true);
+  EXPECT_EQ(result.makespan, ref.makespan);
+  EXPECT_EQ(result.peak_sram_bytes, ref.peak_sram_bytes);
+  for (const Task& t : graph.tasks()) {
+    const auto id = static_cast<std::size_t>(t.id);
+    ASSERT_EQ(t.start, ref.start[id]) << "task " << t.id;
+    ASSERT_EQ(t.finish, ref.finish[id]) << "task " << t.id;
+    ASSERT_EQ(t.units, ref.units[id]) << "task " << t.id;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EngineReference, ::testing::Range(0, 10));
 
 }  // namespace
 }  // namespace mocha::sim

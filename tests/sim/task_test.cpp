@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 namespace mocha::sim {
 namespace {
 
-Task make_task(const std::string& label, Cycle duration = 1) {
+Task make_task(const char* label, Cycle duration = 1) {
   Task t;
   t.label = label;
   t.resources = {0};
@@ -18,7 +20,7 @@ TEST(TaskGraph, IdsAreDense) {
   EXPECT_EQ(graph.add(make_task("a")), 0);
   EXPECT_EQ(graph.add(make_task("b")), 1);
   EXPECT_EQ(graph.size(), 2u);
-  EXPECT_EQ(graph.task(1).label, "b");
+  EXPECT_EQ(graph.task(1).label.str(), "b");
 }
 
 TEST(TaskGraph, AddDepLinks) {
@@ -61,6 +63,16 @@ TEST(TaskGraph, ValidateAcceptsDag) {
   EXPECT_NO_THROW(graph.validate());
 }
 
+TEST(TaskGraph, ValidateAcceptsDepsOutOfIdOrder) {
+  TaskGraph graph;
+  const TaskId a = graph.add(make_task("a"));
+  const TaskId b = graph.add(make_task("b"));
+  const TaskId c = graph.add(make_task("c"));
+  graph.add_dep(c, a);  // c runs first: acyclic, but not in id order
+  graph.add_dep(a, b);
+  EXPECT_NO_THROW(graph.validate());
+}
+
 TEST(TaskGraph, ValidateDetectsCycle) {
   TaskGraph graph;
   const TaskId a = graph.add(make_task("a"));
@@ -77,7 +89,56 @@ TEST(TaskGraph, ValidateRequiresResource) {
   Task t;
   t.label = "unbound";
   graph.add(std::move(t));
-  EXPECT_THROW(graph.validate(), util::CheckFailure);
+  try {
+    graph.validate();
+    FAIL() << "unbound task accepted";
+  } catch (const util::CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("task 'unbound' not bound"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(TaskGraph, ValidateReturnsDependentsInIdOrder) {
+  TaskGraph graph;
+  const TaskId a = graph.add(make_task("a"));
+  const TaskId b = graph.add(make_task("b"));
+  const TaskId c = graph.add(make_task("c"));
+  graph.add_dep(a, c);
+  graph.add_dep(a, b);
+  graph.add_dep(b, c);
+  graph.add_dep(b, c);  // a repeated edge stays repeated
+  const Dependents dependents = graph.validate();
+  const auto of = [&](TaskId id) {
+    const auto span = dependents.of(id);
+    return std::vector<TaskId>(span.begin(), span.end());
+  };
+  EXPECT_EQ(of(a), (std::vector<TaskId>{b, c}));
+  EXPECT_EQ(of(b), (std::vector<TaskId>{c, c}));
+  EXPECT_TRUE(of(c).empty());
+}
+
+TEST(TaskLabel, RendersStructuredFields) {
+  EXPECT_EQ(TaskLabel().str(), "");
+  EXPECT_EQ(TaskLabel("group_end").str(), "group_end");
+
+  TaskLabel comp("comp");
+  comp.layer = 3;
+  comp.index = {0, 1, TaskLabel::kUnset};
+  EXPECT_EQ(comp.str(), "comp.L3.0.1");
+  comp.chunk_group = 0;
+  comp.chunk_slice = 12;
+  EXPECT_EQ(comp.str(), "comp.L3.0.1.g0s12");
+
+  TaskLabel store("store");
+  store.layer = 5;
+  store.index = {2, 7, 10};
+  store.pack = true;
+  EXPECT_EQ(store.str(), "store.L5.2.7.10.pack");
+
+  std::ostringstream os;
+  os << store;
+  EXPECT_EQ(os.str(), store.str());
 }
 
 TEST(TaskGraph, EmptyGraphValid) {

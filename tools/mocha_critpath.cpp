@@ -30,7 +30,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <iterator>
@@ -140,22 +139,6 @@ namespace {
 
 using mocha::sim::Cycle;
 
-/// Layer index encoded in a builder task label ("comp.L3.0.1" -> 3); tasks
-/// without the marker (group barriers) attribute to the group head.
-std::size_t label_layer(const std::string& label, std::size_t fallback,
-                        std::size_t layer_count) {
-  const std::size_t pos = label.find(".L");
-  if (pos == std::string::npos) return fallback;
-  const char* begin = label.c_str() + pos + 2;
-  char* end = nullptr;
-  const long value = std::strtol(begin, &end, 10);
-  if (end == begin || value < 0 ||
-      static_cast<std::size_t>(value) >= layer_count) {
-    return fallback;
-  }
-  return static_cast<std::size_t>(value);
-}
-
 /// Everything the report needs about one executed fusion group.
 struct GroupAnalysis {
   std::size_t index = 0;
@@ -166,7 +149,8 @@ struct GroupAnalysis {
   std::int64_t reconfig_cycles = 0;
   mocha::obs::CritPathReport report;
   std::vector<mocha::obs::WhatIfOutcome> outcomes;
-  /// (layer, duration) per schedule-critical chain step, label-attributed.
+  /// (layer, duration) per schedule-critical chain step, attributed by the
+  /// task label's layer.
   std::vector<std::pair<std::size_t, Cycle>> step_layers;
   /// Kind and [start, finish) of every chain step, for the JSON path array.
   std::vector<mocha::sim::TaskKind> step_kinds;
@@ -339,13 +323,16 @@ int run(const Args& args) {
     for (const obs::CritStep& step : ga.report.path) {
       const sim::Task& task = built.graph.task(step.task);
       const Cycle duration = task.finish - task.start;
+      // Tasks without a layer (group barriers) attribute to the group head.
       const std::size_t layer =
-          label_layer(task.label, group.first, net.layers.size());
+          task.label.layer == sim::TaskLabel::kUnset
+              ? group.first
+              : static_cast<std::size_t>(task.label.layer);
       layer_critical[layer] += duration;
       ga.step_layers.emplace_back(layer, duration);
       ga.step_kinds.push_back(task.kind);
       ga.step_times.emplace_back(task.start, task.finish);
-      ga.step_labels.push_back(task.label);
+      ga.step_labels.push_back(task.label.str());
     }
     for (const obs::CritKind& kind : ga.report.kinds) {
       kind_critical[kind_index(kind.kind)] += kind.critical_cycles;
