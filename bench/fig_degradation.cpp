@@ -23,6 +23,7 @@
 #include "fault/model.hpp"
 #include "obs/manifest.hpp"
 #include "obs/sink.hpp"
+#include "util/cli.hpp"
 #include "util/json.hpp"
 
 namespace {
@@ -45,15 +46,15 @@ int main(int argc, char** argv) {
 
   bool smoke = false;
   std::string out_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
+  util::ArgParser cli(argc, argv, " [--smoke] [--out FILE]\n");
+  while (cli.next()) {
+    if (cli.flag() == "--smoke") {
       smoke = true;
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
+    } else if (cli.flag() == "--out") {
+      out_path = cli.value();
+      if (out_path.empty()) cli.fail("--out expects a path");
     } else {
-      std::cerr << "usage: fig_degradation [--smoke] [--out FILE]\n";
-      return 2;
+      cli.fail("unknown flag: " + cli.flag());
     }
   }
 

@@ -101,7 +101,6 @@ RunReport Accelerator::run_with_plan(
         obs::analyze_critical_path(built.graph, run);
     gr.critpath = obs::summarize(critpath);
 
-#if MOCHA_OBS
     // Render this group's executed task graph on the simulated-time lanes;
     // candidate simulations inside the planner never reach here, so the
     // timeline shows exactly the committed run. The reconfiguration context
@@ -119,7 +118,6 @@ RunReport Accelerator::run_with_plan(
       sim::emit_trace(built.graph, built.layout.specs, session, emit_options);
       session->set_sim_offset(session->sim_offset() + run.makespan);
     }
-#endif
 
     if (run.peak_sram_bytes > config_.sram_bytes) {
       report.sram_ok = false;

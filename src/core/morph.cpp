@@ -25,6 +25,14 @@ const char* objective_name(Objective objective) {
   MOCHA_UNREACHABLE("bad Objective");
 }
 
+std::optional<Objective> objective_from_name(std::string_view name) {
+  for (const Objective o :
+       {Objective::Cycles, Objective::Energy, Objective::EnergyDelayProduct}) {
+    if (name == objective_name(o)) return o;
+  }
+  return std::nullopt;
+}
+
 std::vector<dataflow::LayerStreamStats> assumed_stats(
     const nn::Network& net, const nn::SparsityProfile& profile) {
   std::vector<dataflow::LayerStreamStats> stats(net.layers.size());
@@ -121,17 +129,11 @@ struct SearchContext {
   const MorphOptions& options;
   Index batch = 1;
 
-  std::int64_t sram_budget() const {
-    return static_cast<std::int64_t>(
-        static_cast<double>(config.sram_bytes) *
-        (1.0 - options.sram_fit_margin));
-  }
-
   bool compression_on() const {
     return options.allow_compression && config.has_compression;
   }
 
-  /// Hint weight for a group: clamp(strength * max layer criticality, 0, 1).
+  /// Hint weight for a group: clamp(max layer criticality, 0, 1).
   /// 0 (no hints / uncritical group) leaves ranking == score.
   double hint_weight(const NetworkPlan::Group& group) const {
     if (options.layer_criticality.empty()) return 0.0;
@@ -140,7 +142,7 @@ struct SearchContext {
          l <= group.last && l < options.layer_criticality.size(); ++l) {
       crit = std::max(crit, options.layer_criticality[l]);
     }
-    return std::min(1.0, std::max(0.0, options.hint_strength * crit));
+    return std::min(1.0, std::max(0.0, crit));
   }
 
   /// Geometric blend between the objective score and pure cycles: the
@@ -190,10 +192,10 @@ struct SearchContext {
     // A non-fitting plan is only kept as a last resort; the penalty grows
     // with the overflow so the least-overflowing candidate wins when
     // literally nothing fits.
-    if (est.footprint_bytes > sram_budget()) {
+    if (est.footprint_bytes > config.sram_bytes) {
       const double penalty =
           1e6 * static_cast<double>(est.footprint_bytes) /
-          static_cast<double>(std::max<std::int64_t>(1, sram_budget()));
+          static_cast<double>(config.sram_bytes);
       candidate.score *= penalty;
       candidate.rank *= penalty;
     }
@@ -321,15 +323,9 @@ std::vector<GroupCandidate> enumerate_single(const SearchContext& ctx,
           orders.push_back({LoopOrder::WeightStationary, layer.in_c, 0});
         } else {
           orders.push_back({LoopOrder::WeightStationary, layer.in_c, 0});
-          // FC layers get the input-stationary order regardless of the
-          // order-search flag: their fan-in makes weight residency
-          // impossible, and every real fixed-function accelerator streams
-          // FC weights — denying that would strawman the baselines.
-          if (ctx.options.allow_order_search || fc) {
-            for (Index tc : tc_options) {
-              for (Index bt : bt_options) {
-                orders.push_back({LoopOrder::InputStationary, tc, bt});
-              }
+          for (Index tc : tc_options) {
+            for (Index bt : bt_options) {
+              orders.push_back({LoopOrder::InputStationary, tc, bt});
             }
           }
         }

@@ -6,7 +6,9 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "dataflow/plan.hpp"
 #include "dataflow/streams.hpp"
@@ -20,6 +22,9 @@ namespace mocha::core {
 enum class Objective { Cycles, Energy, EnergyDelayProduct };
 
 const char* objective_name(Objective objective);
+/// Inverse of objective_name(): "cycles", "energy" or "edp"; nullopt for
+/// any other name.
+std::optional<Objective> objective_from_name(std::string_view name);
 
 class Planner {
  public:

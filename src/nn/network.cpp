@@ -197,6 +197,15 @@ Network make_synthetic(const std::string& name, Index in_h, Index in_w,
   return net;
 }
 
+std::optional<Network> make_network(std::string_view name) {
+  if (name == "alexnet") return make_alexnet();
+  if (name == "vgg16") return make_vgg16();
+  if (name == "lenet5") return make_lenet5();
+  if (name == "nin") return make_nin();
+  if (name == "mobilenet") return make_mobilenet_v1();
+  return std::nullopt;
+}
+
 std::vector<Network> benchmark_networks() {
   return {make_alexnet(), make_vgg16()};
 }

@@ -2,7 +2,9 @@
 // evaluation era (AlexNet, VGG-16) plus smaller workloads for tests.
 #pragma once
 
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "nn/layer.hpp"
@@ -58,6 +60,10 @@ Network make_single_conv(Index in_c, Index in_h, Index in_w, Index out_c,
 Network make_synthetic(const std::string& name, Index in_h, Index in_w,
                        const std::vector<Index>& channels, Index kernel,
                        bool pool_between);
+
+/// The named networks above, by their command-line names: "alexnet",
+/// "vgg16", "lenet5", "nin", "mobilenet". nullopt for any other name.
+std::optional<Network> make_network(std::string_view name);
 
 /// All benchmark networks the experiment harnesses sweep over.
 std::vector<Network> benchmark_networks();

@@ -14,9 +14,9 @@
 // docs/OBSERVABILITY.md.
 //
 // Cost policy: the MOCHA_METRIC_* macros check one relaxed atomic flag and
-// do nothing while metrics are disabled (the default), and compile out
-// entirely under -DMOCHA_OBS=0. Direct MetricsRegistry calls always record
-// (tests and tools use the API unconditionally).
+// do nothing while metrics are disabled (the default). Direct
+// MetricsRegistry calls always record (tests and tools use the API
+// unconditionally).
 #pragma once
 
 #include <array>
@@ -142,7 +142,6 @@ inline bool MetricsRegistry::enabled() {
 
 }  // namespace mocha::obs
 
-#if MOCHA_OBS
 #define MOCHA_METRIC_ADD(name, delta)                                     \
   do {                                                                    \
     if (::mocha::obs::MetricsRegistry::enabled()) {                       \
@@ -164,8 +163,3 @@ inline bool MetricsRegistry::enabled() {
           (name), static_cast<std::int64_t>(value));                      \
     }                                                                     \
   } while (false)
-#else
-#define MOCHA_METRIC_ADD(name, delta) ((void)0)
-#define MOCHA_METRIC_GAUGE(name, value) ((void)0)
-#define MOCHA_METRIC_HIST(name, value) ((void)0)
-#endif

@@ -14,8 +14,7 @@
 //    pool, timestamps from steady_clock in microseconds.
 //
 // Cost policy: with no session active, a MOCHA_TRACE_SCOPE is one relaxed
-// atomic load (and compiles out entirely under -DMOCHA_OBS=0). With a
-// session active, wall spans append to per-thread buffers — no shared lock
+// atomic load. With a session active, wall spans append to per-thread buffers — no shared lock
 // on the hot path — merged when the session closes. The session must
 // outlive all instrumented work (create it in main around the run).
 #pragma once
@@ -181,12 +180,8 @@ class TraceScope {
 #define MOCHA_OBS_CONCAT_INNER(a, b) a##b
 #define MOCHA_OBS_CONCAT(a, b) MOCHA_OBS_CONCAT_INNER(a, b)
 
-#if MOCHA_OBS
 /// Profiles the enclosing scope as a wall-clock span. `name` and `category`
 /// must be string literals (they are stored by pointer).
 #define MOCHA_TRACE_SCOPE(name, category)            \
   ::mocha::obs::TraceScope MOCHA_OBS_CONCAT(         \
       mocha_trace_scope_, __LINE__) { (name), (category) }
-#else
-#define MOCHA_TRACE_SCOPE(name, category) ((void)0)
-#endif

@@ -412,9 +412,10 @@ void ServeEngine::process(std::vector<QueuedRequest> items) {
   while (!groups.empty()) {
     Group group = std::move(groups.front());
     groups.pop_front();
-    // Only singletons retry, so the backoff jitter follows the front id.
-    util::Rng jitter(
-        mix_seed(options_.retry.jitter_seed, group.front().item.id));
+    // Only singletons retry, so the backoff jitter follows the front id:
+    // every request's backoff sequence is reproducible from its id.
+    constexpr std::uint64_t kJitterSeed = 0x5eed;
+    util::Rng jitter(mix_seed(kJitterSeed, group.front().item.id));
 
     for (int attempt = 1;; ++attempt) {
       double flip_rate = 0;

@@ -26,9 +26,6 @@ struct RetryOptions {
   /// [0, capped) — decorrelates retry storms.
   std::uint64_t backoff_base_ms = 2;
   std::uint64_t backoff_cap_ms = 64;
-  /// Seed for the jitter draw; requests derive per-request generators from
-  /// it, so backoff sequences are reproducible in tests.
-  std::uint64_t jitter_seed = 0x5eed;
 };
 
 /// The wait before retry number `failures` (1-based count of failures so

@@ -11,20 +11,15 @@
 namespace mocha::serve {
 
 ShardRouter::ShardRouter(RouterOptions options)
-    : options_(std::move(options)), ring_(options_.ring_vnodes) {
+    : options_(std::move(options)) {
   MOCHA_CHECK(options_.shards >= 1, "router needs >= 1 shard");
   MOCHA_CHECK(options_.maintenance_tick_ms >= 1,
               "maintenance_tick_ms must be >= 1");
-  MOCHA_CHECK(options_.hedge_percentile > 0 &&
-                  options_.hedge_percentile <= 100,
-              "hedge_percentile must be in (0, 100]");
   MOCHA_CHECK(options_.hedge_floor_ms <= options_.hedge_cap_ms,
               "hedge_floor_ms must be <= hedge_cap_ms");
   MOCHA_CHECK(options_.steal_max >= 1, "steal_max must be >= 1");
   MOCHA_CHECK(options_.default_replicas >= 1,
               "default_replicas must be >= 1");
-  MOCHA_CHECK(options_.routing_slots >= 1 && options_.routing_slots <= 65536,
-              "routing_slots must be in [1, 65536]");
   // A replica set can never be wider than the fleet.
   options_.default_replicas = std::min(options_.default_replicas,
                                        options_.shards);
@@ -38,13 +33,13 @@ ShardRouter::ShardRouter(RouterOptions options)
     shard->engine = std::make_unique<ServeEngine>(std::move(engine_options));
     shard->state_gauge = obs::lane_name("serve", scope, "state");
     shard->depth_gauge = obs::lane_name("serve", scope, "queue_depth");
-    ring_.add(i);
+    routing_.shards.push_back({i, /*serving=*/true});
     shards_.push_back(std::move(shard));
   }
   {
     // Epoch-0 snapshot: full fleet, no models yet. First in the log so a
     // balancer tailing routing_out sees membership before any edit.
-    std::lock_guard<std::mutex> lock(ring_mu_);
+    std::lock_guard<std::mutex> lock(routing_mu_);
     refresh_routing_locked();
     export_routing_locked();
   }
@@ -65,7 +60,7 @@ void ShardRouter::register_model(const std::string& name,
   for (auto& shard : shards_) {
     shard->engine->register_model(name, net, weights, config, morph);
   }
-  std::lock_guard<std::mutex> lock(ring_mu_);
+  std::lock_guard<std::mutex> lock(routing_mu_);
   // Zero input of the head shape: cheap, shape-valid, and exercises the
   // full plan — the liveness canary and the warm-rebuild probe both use it.
   canaries_.emplace_back(name,
@@ -110,25 +105,29 @@ TicketPtr ShardRouter::submit(Request request) {
   }
 
   // Placement: the key's routing slot selects the model's ordered replica
-  // set. Unregistered models fall back to plain ring placement (the engine
-  // rejects them as unknown anyway — one shard's refusal is authoritative).
-  const std::string key = request.tenant + "|" + request.model;
+  // set. An unregistered model goes to the lowest-id serving shard, whose
+  // engine rejects it as unknown — one shard's refusal is authoritative.
   std::vector<int> candidates;
   {
-    std::lock_guard<std::mutex> lock(ring_mu_);
+    std::lock_guard<std::mutex> lock(routing_mu_);
     const RoutingTable::Model* model = routing_.find_model(request.model);
     if (model != nullptr) {
-      const int slot = routing_slot(key, routing_.slots);
+      const int slot =
+          routing_slot(request.tenant + "|" + request.model, routing_.slots);
       candidates = model->slot_replicas[static_cast<std::size_t>(slot)];
     } else {
-      const HashRing::Placement placement = ring_.place(key);
-      if (placement.primary >= 0) candidates.push_back(placement.primary);
+      for (const RoutingTable::Shard& shard : routing_.shards) {
+        if (shard.serving) {
+          candidates.push_back(shard.id);
+          break;
+        }
+      }
     }
   }
   if (candidates.empty()) return refuse("no live replicas for this key");
 
   // Best live replica: first Healthy in set order, else the first that is
-  // at least in the ring (Degraded), else — every replica momentarily out —
+  // at least serving (Degraded), else — every replica momentarily out —
   // the set head (the attempt fails fast and failover re-walks the set).
   int target = -1;
   int first_live = -1;
@@ -145,7 +144,9 @@ TicketPtr ShardRouter::submit(Request request) {
   if (target < 0) target = first_live;
   if (target < 0) target = candidates.front();
 
-  // Power-of-two-choices spill: against the next live replica after target.
+  // Power-of-two-choices spill: route to the next live replica after target
+  // when target's queue is at least this much deeper.
+  constexpr std::size_t kSpillMargin = 2;
   for (const int alt : candidates) {
     if (alt == target) continue;
     if (!shards_[static_cast<std::size_t>(alt)]->health.in_ring(now)) continue;
@@ -153,7 +154,7 @@ TicketPtr ShardRouter::submit(Request request) {
         shards_[static_cast<std::size_t>(target)]->engine->queue_depth();
     const std::size_t other =
         shards_[static_cast<std::size_t>(alt)]->engine->queue_depth();
-    if (home >= other + std::max<std::size_t>(options_.spill_margin, 1)) {
+    if (home >= other + kSpillMargin) {
       target = alt;
       MOCHA_METRIC_ADD("serve.fleet.spills", 1);
     }
@@ -188,11 +189,13 @@ TicketPtr ShardRouter::submit(Request request) {
 }
 
 std::uint64_t ShardRouter::hedge_delay_ns() const {
+  constexpr double kHedgePercentile = 99.0;
+  constexpr std::uint64_t kHedgeMinSamples = 20;
   const std::uint64_t floor = options_.hedge_floor_ms * 1'000'000ull;
   const std::uint64_t cap = options_.hedge_cap_ms * 1'000'000ull;
   std::lock_guard<std::mutex> lock(hist_mu_);
-  if (latency_us_.count < options_.hedge_min_samples) return cap;
-  const double p_us = latency_us_.percentile(options_.hedge_percentile);
+  if (latency_us_.count < kHedgeMinSamples) return cap;
+  const double p_us = latency_us_.percentile(kHedgePercentile);
   const auto ns = static_cast<std::uint64_t>(std::max(0.0, p_us) * 1000.0);
   return std::min(cap, std::max(floor, ns));
 }
@@ -445,24 +448,21 @@ void ShardRouter::tick(std::uint64_t now_ns) {
 }
 
 void ShardRouter::update_ring(std::uint64_t now_ns) {
-  std::lock_guard<std::mutex> lock(ring_mu_);
+  std::lock_guard<std::mutex> lock(routing_mu_);
   for (int i = 0; i < options_.shards; ++i) {
+    RoutingTable::Shard& entry = routing_.shards[static_cast<std::size_t>(i)];
     const bool in = shards_[static_cast<std::size_t>(i)]->health.in_ring(now_ns);
-    bool removed = false;
-    if (in && !ring_.contains(i)) {
-      ring_.add(i);
+    if (in == entry.serving) continue;
+    entry.serving = in;
+    if (in) {
       MOCHA_METRIC_ADD("serve.fleet.ring_readmits", 1);
-    } else if (!in && ring_.contains(i)) {
-      ring_.remove(i);
-      MOCHA_METRIC_ADD("serve.fleet.ring_removals", 1);
-      removed = true;
     } else {
-      continue;
+      MOCHA_METRIC_ADD("serve.fleet.ring_removals", 1);
     }
     // One epoch bump and one exported snapshot per ring edit — the
     // determinism contract an external balancer replays.
     ++routing_.epoch;
-    routing_.edits.push_back({routing_.epoch, i, removed});
+    routing_.edits.push_back({routing_.epoch, i, /*removed=*/!in});
     if (routing_.edits.size() > RoutingTable::kMaxEdits) {
       routing_.edits.erase(routing_.edits.begin());
     }
@@ -472,20 +472,18 @@ void ShardRouter::update_ring(std::uint64_t now_ns) {
 }
 
 void ShardRouter::refresh_routing_locked() {
-  routing_.slots = options_.routing_slots;
-  routing_.shards.clear();
-  for (int i = 0; i < options_.shards; ++i) {
-    routing_.shards.push_back({i, ring_.contains(i)});
+  // Serving shard ids in ascending order (the table lists shards by id).
+  std::vector<int> members;
+  for (const RoutingTable::Shard& shard : routing_.shards) {
+    if (shard.serving) members.push_back(shard.id);
   }
-  const std::vector<int> members = ring_.members();
   routing_.models.clear();
   for (const auto& [name, replicas] : models_) {
     RoutingTable::Model model;
     model.name = name;
     model.replicas = replicas;
-    model.slot_replicas.reserve(
-        static_cast<std::size_t>(options_.routing_slots));
-    for (int slot = 0; slot < options_.routing_slots; ++slot) {
+    model.slot_replicas.reserve(static_cast<std::size_t>(routing_.slots));
+    for (int slot = 0; slot < routing_.slots; ++slot) {
       model.slot_replicas.push_back(
           rendezvous_replicas(name, slot, members, replicas));
     }
@@ -502,24 +500,24 @@ void ShardRouter::export_routing_locked() {
 }
 
 RoutingTable ShardRouter::routing_snapshot() const {
-  std::lock_guard<std::mutex> lock(ring_mu_);
+  std::lock_guard<std::mutex> lock(routing_mu_);
   return routing_;
 }
 
 std::vector<std::string> ShardRouter::routing_log() const {
-  std::lock_guard<std::mutex> lock(ring_mu_);
+  std::lock_guard<std::mutex> lock(routing_mu_);
   return routing_log_;
 }
 
 std::uint64_t ShardRouter::routing_epoch() const {
-  std::lock_guard<std::mutex> lock(ring_mu_);
+  std::lock_guard<std::mutex> lock(routing_mu_);
   return routing_.epoch;
 }
 
 void ShardRouter::maybe_canary(int shard, std::uint64_t now_ns) {
   std::vector<std::pair<std::string, nn::ValueTensor>> canaries;
   {
-    std::lock_guard<std::mutex> lock(ring_mu_);
+    std::lock_guard<std::mutex> lock(routing_mu_);
     if (canaries_.empty()) return;  // nothing registered yet
     canaries = canaries_;
   }
@@ -542,11 +540,15 @@ void ShardRouter::maybe_canary(int shard, std::uint64_t now_ns) {
   canaries_issued_.fetch_add(1, std::memory_order_relaxed);
   MOCHA_METRIC_ADD("serve.fleet.canaries", 1);
 
+  // Canaries outrank client traffic so a saturated queue still yields a
+  // health signal (the shed itself is the signal when even this fails).
+  constexpr int kCanaryPriority = 100;
+  constexpr std::uint64_t kCanaryDeadlineMs = 200;
   auto send = [&](const std::pair<std::string, nn::ValueTensor>& canary) {
     Request request;
     request.model = canary.first;
-    request.priority = options_.canary_priority;
-    request.deadline_ns = now_ns + options_.canary_deadline_ms * 1'000'000ull;
+    request.priority = kCanaryPriority;
+    request.deadline_ns = now_ns + kCanaryDeadlineMs * 1'000'000ull;
     request.input = canary.second;
     TicketPtr ticket = sh.engine->submit(std::move(request));
     ticket->on_resolve([this, shard, probe](const Response& response) {

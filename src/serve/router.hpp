@@ -16,8 +16,9 @@
 //    target's queue is markedly deeper;
 //  * health — an active checker (periodic canary inferences per shard)
 //    feeds EWMA latency + error-rate into a per-shard state machine
-//    (serve/health.hpp): Degraded shards stay in the ring but lose spill
-//    traffic, Quarantined shards leave it. Readmission requires a *warm
+//    (serve/health.hpp): Degraded shards keep serving but lose spill
+//    traffic, Quarantined shards stop serving (the routing table's
+//    per-shard `serving` bit is the fleet's only membership record). Readmission requires a *warm
 //    rebuild*: the half-open probe runs one canary per registered model,
 //    forcing the shard's plan cache to re-search every model under the
 //    post-heal scenario, so a healed shard never serves cold;
@@ -30,12 +31,14 @@
 //    replica is exhausted the request fails — replica count R, not luck,
 //    bounds the blast radius;
 //  * stealing — when a shard's queue runs hot, its youngest lowest-priority
-//    work migrates to the coldest in-ring shard (ServeEngine::transfer_to);
+//    work migrates to the coldest serving shard (ServeEngine::transfer_to);
 //  * routing export — the full placement table (slot -> replica set per
 //    model, per-shard serving state, a ring-edit epoch) is a
 //    serve::RoutingTable snapshot, re-exported atomically on every ring
-//    edit so an external balancer can mirror placement; the snapshot
-//    sequence is byte-deterministic for a fixed kill/heal schedule.
+//    edit (a shard's `serving` bit flipping) so an external balancer can
+//    mirror placement; the snapshot sequence is byte-deterministic for a
+//    fixed kill/heal schedule. Requests for unregistered models go to the
+//    lowest-id serving shard, whose engine rejects them as unknown.
 //
 // All background work (hedge timers, cancel propagation, canaries, ring
 // maintenance, stealing, routing export) runs on one maintenance thread;
@@ -53,7 +56,6 @@
 #include "serve/engine.hpp"
 #include "serve/health.hpp"
 #include "serve/routing.hpp"
-#include "serve/shard.hpp"
 
 namespace mocha::serve {
 
@@ -64,37 +66,26 @@ struct RouterOptions {
   /// "shardK" so every shard gets its own metric lanes.
   ServeOptions engine;
   HealthOptions health;
-  int ring_vnodes = 64;
 
   /// Replica-set size for models registered without an explicit R, clamped
   /// to the fleet size (a 1-shard fleet serves R=1 regardless).
   int default_replicas = 2;
-  /// Routing slots the (tenant, model) key space is hashed into; the
-  /// exported table has one replica-set row per (model, slot).
-  int routing_slots = 64;
   /// When non-empty, every routing-table snapshot is also written here
   /// atomically (obs::write_file_atomic) — the `mocha_serve --routing-out`
   /// export an external balancer tails.
   std::string routing_out;
 
-  /// Power-of-two-choices spill: route to the next live replica when the
-  /// chosen one's queue is at least this much deeper. 0 = always pick the
-  /// shallower of the two.
-  std::size_t spill_margin = 2;
-
-  /// Tail-latency hedging. The delay tracks the measured p-th percentile of
-  /// fleet-level completed latency, clamped to [floor, cap]; until
-  /// `hedge_min_samples` completions exist the cap is used (hedge late, not
-  /// eagerly, while the estimate is noise). Failover on *failure* is always
-  /// on — disabling hedging only disables the duplicate-attempt timer.
+  /// Tail-latency hedging. The delay tracks the measured p99 of fleet-level
+  /// completed latency, clamped to [floor, cap]; until 20 completions exist
+  /// the cap is used (hedge late, not eagerly, while the estimate is
+  /// noise). Failover on *failure* is always on — disabling hedging only
+  /// disables the duplicate-attempt timer.
   bool hedge = true;
-  double hedge_percentile = 99.0;
   std::uint64_t hedge_floor_ms = 2;
   std::uint64_t hedge_cap_ms = 250;
-  std::uint64_t hedge_min_samples = 20;
 
   /// Work stealing: when the hottest queue reaches `steal_threshold`, up to
-  /// `steal_max` entries migrate to the coldest in-ring shard per tick.
+  /// `steal_max` entries migrate to the coldest serving shard per tick.
   bool steal = true;
   std::size_t steal_threshold = 8;
   std::size_t steal_max = 2;
@@ -103,10 +94,6 @@ struct RouterOptions {
   /// fire per shard every `canary_period_ms` on top of it.
   std::uint64_t maintenance_tick_ms = 2;
   std::uint64_t canary_period_ms = 25;
-  std::uint64_t canary_deadline_ms = 200;
-  /// Canaries outrank client traffic so a saturated queue still yields a
-  /// health signal (the shed itself is the signal when even this fails).
-  int canary_priority = 100;
 };
 
 /// Per-shard observability snapshot.
@@ -175,8 +162,9 @@ class ShardRouter {
                       core::MorphOptions morph = {}, int replicas = 0);
 
   /// Fleet admission: places on the best live replica, may spill, may later
-  /// hedge or fail over down the replica set. Never blocks; always returns
-  /// a ticket that resolves exactly once.
+  /// hedge or fail over down the replica set. An unregistered model goes to
+  /// the lowest-id serving shard, whose engine rejects it ("unknown model").
+  /// Never blocks; always returns a ticket that resolves exactly once.
   TicketPtr submit(Request request);
 
   /// Stops the maintenance thread, then shuts every shard down (drain
@@ -268,21 +256,20 @@ class ShardRouter {
   /// Resolves the client ticket exactly once and books fleet stats.
   void resolve_client(const RoutePtr& route, Response&& response);
   void erase_route(std::uint64_t id);
-  /// First unattempted in-ring candidate in set order; -1 when exhausted.
+  /// First unattempted serving candidate in set order; -1 when exhausted.
   /// Caller holds route->mu.
   int next_candidate_locked(const Route& route, std::uint64_t now_ns) const;
-  /// Recomputes the routing table from the current ring membership and
-  /// registered models. Caller holds ring_mu_.
+  /// Recomputes every model's replica sets from the table's serving shards
+  /// (ascending id) and the registered models. Caller holds routing_mu_.
   void refresh_routing_locked();
   /// Serializes the current table into the log (and routing_out, when
-  /// configured). Caller holds ring_mu_.
+  /// configured). Caller holds routing_mu_.
   void export_routing_locked();
 
   RouterOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  mutable std::mutex ring_mu_;
-  HashRing ring_;
+  mutable std::mutex routing_mu_;
   /// (model, replica count) in registration order; the routing table's
   /// model list mirrors this.
   std::vector<std::pair<std::string, int>> models_;
@@ -294,7 +281,7 @@ class ShardRouter {
 
   /// Canary workloads, one per registered model (name, zero input of the
   /// head shape). The first is the periodic liveness canary; a readmission
-  /// probe runs all of them (warm rebuild). Guarded by ring_mu_.
+  /// probe runs all of them (warm rebuild). Guarded by routing_mu_.
   std::vector<std::pair<std::string, nn::ValueTensor>> canaries_;
 
   mutable std::mutex hist_mu_;

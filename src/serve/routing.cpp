@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "serve/shard.hpp"
 #include "util/assert.hpp"
 #include "util/json.hpp"
 #include "util/json_parse.hpp"
@@ -12,8 +11,18 @@ namespace mocha::serve {
 
 namespace {
 
-/// SplitMix64 finalizer — same mixer the ring uses for vnode points, applied
-/// here to spread the (model, slot, shard) lattice into rendezvous scores.
+/// FNV-1a 64-bit: the key hash behind routing slots and model scores.
+std::uint64_t fnv1a(std::string_view key) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : key) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// SplitMix64 finalizer: spreads the (model, slot, shard) lattice into
+/// rendezvous scores.
 std::uint64_t mix(std::uint64_t x) {
   x ^= x >> 30;
   x *= 0xbf58476d1ce4e5b9ull;
@@ -70,14 +79,14 @@ constexpr std::int64_t kMaxSlots = 1 << 16;
 
 int routing_slot(std::string_view key, int slots) {
   MOCHA_CHECK(slots >= 1, "routing_slot needs >= 1 slot");
-  return static_cast<int>(ring_hash(key) % static_cast<std::uint64_t>(slots));
+  return static_cast<int>(fnv1a(key) % static_cast<std::uint64_t>(slots));
 }
 
 std::vector<int> rendezvous_replicas(std::string_view model, int slot,
                                      const std::vector<int>& members,
                                      int replicas) {
   MOCHA_CHECK(replicas >= 1, "replica set size must be >= 1");
-  const std::uint64_t model_hash = ring_hash(model);
+  const std::uint64_t model_hash = fnv1a(model);
   struct Scored {
     std::uint64_t score;
     int shard;

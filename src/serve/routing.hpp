@@ -35,10 +35,11 @@ namespace mocha::serve {
 /// reduced mod `slots`. The contract external balancers implement.
 int routing_slot(std::string_view key, int slots);
 
-/// Ordered replica set for (model, slot) over the live ring `members`:
-/// the min(replicas, members) distinct shards with the highest rendezvous
-/// scores, best first, ties broken toward the lower shard id. Pure and
-/// deterministic — same inputs, same set, independent of member order.
+/// Ordered replica set for (model, slot) over the serving shard ids
+/// `members`: the min(replicas, members) distinct shards with the highest
+/// rendezvous scores, best first, ties broken toward the lower shard id.
+/// Pure and deterministic — same inputs, same set, independent of member
+/// order.
 std::vector<int> rendezvous_replicas(std::string_view model, int slot,
                                      const std::vector<int>& members,
                                      int replicas);
@@ -55,8 +56,9 @@ struct RoutingTable {
 
   struct Shard {
     int id = -1;
-    /// In the placement ring (Healthy or Degraded) right now. See the
-    /// header comment for why this is a bit, not the four-state name.
+    /// Serving (Healthy or Degraded) right now: the router's membership
+    /// bit. See the header comment for why this is a bit, not the
+    /// four-state name.
     bool serving = false;
   };
   std::vector<Shard> shards;

@@ -216,14 +216,12 @@ RunResult Engine::run(TaskGraph& graph, bool detailed) const {
       MOCHA_METRIC_HIST("sim.queue_wait_cycles", wait);
     }
     MOCHA_METRIC_ADD("sim.tasks_completed", graph.size());
-#if MOCHA_OBS
     if (obs::MetricsRegistry::enabled()) {
       for (std::size_t r = 0; r < resources_.size(); ++r) {
         MOCHA_METRIC_ADD("sim.busy_cycles." + resources_[r].name,
                          result.resource_busy_cycles[r]);
       }
     }
-#endif
   }
   return result;
 }

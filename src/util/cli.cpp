@@ -82,14 +82,18 @@ double ArgParser::double_value(double lo, double hi) {
 }
 
 std::vector<int> ArgParser::int_list_value(int lo, int hi) {
+  const std::string text = value();
+  if (text.empty()) fail(flag_ + " expects a non-empty list");
+  // Every item must parse, so an empty one ("1,,2", "1,2,") is rejected.
   std::vector<int> out;
-  std::stringstream ss(value());
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    out.push_back(static_cast<int>(parse_int(item, lo, hi)));
+  std::size_t start = 0;
+  for (;;) {
+    const std::size_t comma = text.find(',', start);
+    out.push_back(static_cast<int>(
+        parse_int(text.substr(start, comma - start), lo, hi)));
+    if (comma == std::string::npos) return out;
+    start = comma + 1;
   }
-  if (out.empty()) fail(flag_ + " expects a non-empty list");
-  return out;
 }
 
 void ArgParser::usage() const {

@@ -217,7 +217,7 @@ TEST(Morph, ZeroSlackHintsLeavePlanUnchanged) {
 }
 
 TEST(Morph, SlackHintsBiasTowardCycles) {
-  // Full criticality at full strength ranks every candidate purely by
+  // Full criticality ranks every candidate purely by
   // cycles, so the hinted EDP plan must not be materially slower than the
   // unhinted one (same 10% tolerance as ObjectiveChangesSelection — the
   // DP composes groups by unbiased score, so exact dominance is not
@@ -227,7 +227,6 @@ TEST(Morph, SlackHintsBiasTowardCycles) {
   const auto stats = stats_for(net);
   MorphOptions hinted;
   hinted.layer_criticality.assign(net.layers.size(), 1.0);
-  hinted.hint_strength = 1.0;
   const NetworkPlan base = make_controller().plan(net, config, stats);
   const NetworkPlan biased = make_controller(hinted).plan(net, config, stats);
 

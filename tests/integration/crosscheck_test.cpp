@@ -26,6 +26,14 @@ struct CrossCase {
   Index th;
 };
 
+// Without this, GoogleTest prints the case as a raw byte dump that takes in
+// the struct's padding, and so the listed test names would change from run
+// to run.
+void PrintTo(const CrossCase& c, std::ostream* os) {
+  *os << compress::codec_name(c.codec) << " sparsity " << c.sparsity
+      << " tile " << c.th;
+}
+
 class StreamCrossCheck : public ::testing::TestWithParam<CrossCase> {};
 
 TEST_P(StreamCrossCheck, BilledBytesMatchRealCodedStreams) {

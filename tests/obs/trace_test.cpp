@@ -45,11 +45,7 @@ TEST(Trace, ScopesAndSimEventsAreRecorded) {
     session.sim_event("laneX", "task0", "Test", 0, 10);
     session.set_sim_offset(100);
     session.sim_event("laneX", "task1", "Test", 5, 10);
-#if MOCHA_OBS
     EXPECT_EQ(session.event_count(), 4u);
-#else
-    EXPECT_EQ(session.event_count(), 2u);  // scopes compiled out
-#endif
   }
   const util::JsonValue doc = util::parse_json(slurp(path));
   const util::JsonValue& events = doc.at("traceEvents");
@@ -63,9 +59,7 @@ TEST(Trace, ScopesAndSimEventsAreRecorded) {
     if (e.at("name").string == "span_a") saw_span_a = true;
   }
   EXPECT_EQ(task1_ts, 105.0);  // offset 100 + ts 5
-#if MOCHA_OBS
   EXPECT_TRUE(saw_span_a);
-#endif
   std::remove(path.c_str());
 }
 
@@ -80,9 +74,7 @@ TEST(TraceValidation, AcceleratorRunProducesWellFormedTimeline) {
     const core::Accelerator acc = core::make_mocha_accelerator();
     const core::RunReport report = acc.run(nn::make_lenet5());
     EXPECT_GT(report.total_cycles, 0u);
-#if MOCHA_OBS
     EXPECT_GT(session.event_count(), 0u);
-#endif
   }
   const util::JsonValue doc = util::parse_json(slurp(path));
   const util::JsonValue& events = doc.at("traceEvents");
@@ -112,7 +104,6 @@ TEST(TraceValidation, AcceleratorRunProducesWellFormedTimeline) {
   // Process names for both clock domains plus one thread_name per lane.
   EXPECT_GE(meta_events, 2);
 
-#if MOCHA_OBS
   // The simulated domain (pid 1) must exist and every lane must hold
   // non-overlapping tasks: each resource unit executes one task at a time.
   bool saw_sim_lane = false;
@@ -128,7 +119,6 @@ TEST(TraceValidation, AcceleratorRunProducesWellFormedTimeline) {
     }
   }
   EXPECT_TRUE(saw_sim_lane);
-#endif
   std::remove(path.c_str());
 }
 

@@ -34,6 +34,7 @@
 #include "nn/reference.hpp"
 #include "obs/manifest.hpp"
 #include "obs/sink.hpp"
+#include "util/cli.hpp"
 #include "util/cpuid.hpp"
 #include "util/json.hpp"
 #include "util/parallel.hpp"
@@ -343,61 +344,31 @@ void emit_json(const std::vector<Record>& records,
   std::cout << "wrote " << path << "\n";
 }
 
-/// Parses a comma-separated positive-integer list ("1,2,8").
-bool parse_thread_list(const std::string& text, std::vector<int>* out) {
-  out->clear();
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = std::min(text.find(',', start), text.size());
-    const std::string item = text.substr(start, comma - start);
-    if (item.empty()) return false;
-    int value = 0;
-    for (char ch : item) {
-      if (ch < '0' || ch > '9') return false;
-      value = value * 10 + (ch - '0');
-      if (value > 1 << 16) return false;
-    }
-    if (value < 1) return false;
-    out->push_back(value);
-    start = comma + 1;
-  }
-  return !out->empty();
-}
-
 int run(int argc, char** argv) {
   bool smoke = false;
   std::string out_path = "BENCH_parallel.json";
   std::vector<int> thread_override;
-  const auto usage = [] {
-    std::cerr << "usage: mocha_bench [--smoke] [--out path] "
-                 "[--threads 1,2,8] [--isa scalar|avx2|neon]\n";
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
+  util::ArgParser cli(argc, argv,
+                      " [--smoke] [--out path] [--threads 1,2,8] "
+                      "[--isa scalar|avx2|neon]\n");
+  while (cli.next()) {
+    const std::string& flag = cli.flag();
+    if (flag == "--smoke") {
       smoke = true;
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (arg.rfind("--out=", 0) == 0 && arg.size() > 6) {
-      out_path = arg.substr(6);
-    } else if (arg == "--threads" && i + 1 < argc) {
-      if (!parse_thread_list(argv[++i], &thread_override)) {
-        std::cerr << "error: bad --threads list '" << argv[i] << "'\n";
-        usage();
-        return 2;
-      }
-    } else if (arg == "--isa" && i + 1 < argc) {
+    } else if (flag == "--out") {
+      out_path = cli.value();
+      if (out_path.empty()) cli.fail("--out expects a path");
+    } else if (flag == "--threads") {
+      thread_override = cli.int_list_value(1, 1 << 16);
+    } else if (flag == "--isa") {
+      const std::string text = cli.value();
       util::KernelIsa isa;
-      if (!util::parse_isa(argv[++i], &isa)) {
-        std::cerr << "error: bad --isa '" << argv[i] << "'\n";
-        usage();
-        return 2;
+      if (!util::parse_isa(text, &isa)) {
+        cli.fail("--isa expects scalar|avx2|neon, got '" + text + "'");
       }
       util::force_isa(isa);  // hard error if not runnable here
     } else {
-      std::cerr << "error: bad argument '" << arg << "'\n";
-      usage();
-      return 2;
+      cli.fail("unknown flag: " + flag);
     }
   }
 

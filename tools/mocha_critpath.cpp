@@ -186,28 +186,16 @@ std::int64_t scaled_reconfig(const mocha::obs::WhatIf& spec,
 int run(const Args& args) {
   using namespace mocha;
 
-  nn::Network net;
-  if (args.network == "alexnet") {
-    net = nn::make_alexnet();
-  } else if (args.network == "vgg16") {
-    net = nn::make_vgg16();
-  } else if (args.network == "lenet5") {
-    net = nn::make_lenet5();
-  } else if (args.network == "nin") {
-    net = nn::make_nin();
-  } else if (args.network == "mobilenet") {
-    net = nn::make_mobilenet_v1();
-  } else {
+  std::optional<nn::Network> named = nn::make_network(args.network);
+  if (!named) {
     std::cerr << "unknown network: " << args.network << "\n";
     return 2;
   }
+  nn::Network net = std::move(*named);
 
-  core::Objective objective = core::Objective::EnergyDelayProduct;
-  if (args.objective == "cycles") {
-    objective = core::Objective::Cycles;
-  } else if (args.objective == "energy") {
-    objective = core::Objective::Energy;
-  } else if (args.objective != "edp") {
+  const std::optional<core::Objective> objective =
+      core::objective_from_name(args.objective);
+  if (!objective) {
     std::cerr << "unknown objective: " << args.objective << "\n";
     return 2;
   }
@@ -250,7 +238,7 @@ int run(const Args& args) {
 
   const core::MorphController planner(model::default_tech(), [&] {
     core::MorphOptions options;
-    options.objective = objective;
+    options.objective = *objective;
     options.allow_compression = !args.no_compression;
     options.allow_huffman = args.huffman;
     return options;

@@ -774,21 +774,12 @@ int run_bench(const Args& args, const mocha::nn::Network& net,
 int run(const Args& args) {
   using namespace mocha;
 
-  nn::Network net;
-  if (args.network == "alexnet") {
-    net = nn::make_alexnet();
-  } else if (args.network == "vgg16") {
-    net = nn::make_vgg16();
-  } else if (args.network == "lenet5") {
-    net = nn::make_lenet5();
-  } else if (args.network == "nin") {
-    net = nn::make_nin();
-  } else if (args.network == "mobilenet") {
-    net = nn::make_mobilenet_v1();
-  } else {
+  std::optional<nn::Network> named = nn::make_network(args.network);
+  if (!named) {
     std::cerr << "unknown network: " << args.network << "\n";
     return 2;
   }
+  nn::Network net = std::move(*named);
 
   if (args.metrics) obs::MetricsRegistry::global().set_enabled(true);
   std::unique_ptr<obs::TraceSession> trace;

@@ -225,28 +225,16 @@ bool load_slack_hints(const std::string& path, const mocha::nn::Network& net,
 int run(const Args& args) {
   using namespace mocha;
 
-  nn::Network net;
-  if (args.network == "alexnet") {
-    net = nn::make_alexnet();
-  } else if (args.network == "vgg16") {
-    net = nn::make_vgg16();
-  } else if (args.network == "lenet5") {
-    net = nn::make_lenet5();
-  } else if (args.network == "nin") {
-    net = nn::make_nin();
-  } else if (args.network == "mobilenet") {
-    net = nn::make_mobilenet_v1();
-  } else {
+  std::optional<nn::Network> named = nn::make_network(args.network);
+  if (!named) {
     std::cerr << "unknown network: " << args.network << "\n";
     return 2;
   }
+  nn::Network net = std::move(*named);
 
-  core::Objective objective = core::Objective::EnergyDelayProduct;
-  if (args.objective == "cycles") {
-    objective = core::Objective::Cycles;
-  } else if (args.objective == "energy") {
-    objective = core::Objective::Energy;
-  } else if (args.objective != "edp") {
+  const std::optional<core::Objective> objective =
+      core::objective_from_name(args.objective);
+  if (!objective) {
     std::cerr << "unknown objective: " << args.objective << "\n";
     return 2;
   }
@@ -321,7 +309,7 @@ int run(const Args& args) {
   core::RunReport report;
   if (args.accelerator == "mocha") {
     core::MorphOptions options;
-    options.objective = objective;
+    options.objective = *objective;
     options.allow_compression = !args.no_compression;
     options.allow_huffman = args.huffman;
     if (!args.slack_hints_file.empty() &&
@@ -357,7 +345,7 @@ int run(const Args& args) {
     }
   } else if (args.accelerator == "nextbest") {
     baseline::NextBest best =
-        baseline::next_best(net, model::default_tech(), objective);
+        baseline::next_best(net, model::default_tech(), *objective);
     used_config =
         fabric::baseline_config(baseline::strategy_name(best.strategy));
     report = std::move(best.report);
@@ -375,7 +363,7 @@ int run(const Args& args) {
     }
     const core::Accelerator acc = baseline::make_baseline_accelerator(
         strategy, customize(fabric::baseline_config(args.accelerator)),
-        model::default_tech(), objective);
+        model::default_tech(), *objective);
     report = acc.run(net, {}, args.batch);
     used_config = acc.config();
   }
